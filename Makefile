@@ -43,8 +43,8 @@ bench-exact:
 bench-alg1:
 	cargo bench --bench alg1_sweep -p shapdb_bench
 
-# Wide non-read-once compilation: bottom-up vs top-down vs cache-warm
-# top-down on 24–513-variable disjoint-majority-block structures,
+# Wide non-read-once compilation: no cache vs shared-cache cold vs
+# shared-cache warm on 24–513-variable disjoint-majority-block structures,
 # asserted bit-identical on model counts before timing; writes
 # results/bench_kc.json (warns if the warm pass is under the 2x bar).
 bench-kc:

@@ -57,11 +57,10 @@ fn distinct_structures(lineages: &[Dnf]) -> Vec<Dnf> {
     out
 }
 
-/// Variable cap for the *compiler* phase series. The bottom-up compiler
-/// priced the widest structures at seconds per pass, which capped this at
-/// 48; the top-down compiler with component caching prices them at
-/// microseconds, so the cap now admits the whole (48, 256] band. Skipped
-/// structures' variable counts are reported in the JSON, never silent.
+/// Variable cap for the *compiler* phase series. The compiler prices the
+/// corpus's widest structures at microseconds, so the cap admits the whole
+/// (48, 256] band. Skipped structures' variable counts are reported in the
+/// JSON, never silent.
 const PHASE_MAX_VARS: usize = 256;
 
 /// Variable cap for the Algorithm 1 phase series. Algorithm 1 itself on
@@ -70,11 +69,12 @@ const PHASE_MAX_VARS: usize = 256;
 /// series keeps the original cap.
 const ALG1_PHASE_MAX_VARS: usize = 48;
 
-/// Width past which the phase series compiles top-down — the same knob
-/// `PlannerConfig::default().topdown_min_vars` applies in production.
-const TOPDOWN_MIN_VARS: usize = 48;
+/// Width past which the phase series compiles against the shared
+/// component cache — the same 48-variable threshold the planner applies in
+/// production.
+const SHARED_CACHE_MIN_VARS: usize = 48;
 
-/// Compiles one canonical DNF to a projected d-DNNF (bottom-up).
+/// Compiles one canonical DNF to a projected d-DNNF (no shared cache).
 fn compile_one(d: &Dnf) -> Ddnnf {
     let mut c = Circuit::new();
     let root = d.to_circuit(&mut c);
@@ -84,11 +84,10 @@ fn compile_one(d: &Dnf) -> Ddnnf {
 }
 
 /// Compiles one canonical DNF with the planner's routing: wide structures
-/// go through the top-down compiler, sharing `cache` across the pass's
-/// lineages (one batch-lived cache per pass, as the batch executor
-/// attaches).
+/// compile against `cache`, shared across the pass's lineages (one
+/// batch-lived cache per pass, as the batch executor attaches).
 fn compile_one_routed(d: &Dnf, cache: &ComponentCache) -> Ddnnf {
-    if d.vars().len() <= TOPDOWN_MIN_VARS {
+    if d.vars().len() <= SHARED_CACHE_MIN_VARS {
         return compile_one(d);
     }
     let mut c = Circuit::new();

@@ -9,7 +9,7 @@ use shapdb_core::exact::ExactConfig;
 use shapdb_core::pipeline::{analyze_lineage, analyze_lineage_auto};
 use shapdb_core::readonce::shapley_read_once;
 use shapdb_core::shap_score::shap_scores;
-use shapdb_kc::{compile, compile_circuit, compile_with, smooth, BranchHeuristic, Budget};
+use shapdb_kc::{compile, compile_circuit, smooth, Budget};
 use shapdb_num::Rational;
 
 /// `⋁_{i<a, j<b} (xᵢ ∧ yⱼ)` — read-once as `(⋁xᵢ) ∧ (⋁yⱼ)`, but hard for
@@ -135,28 +135,6 @@ fn bench_aggregate_count(c: &mut Criterion) {
     group.finish();
 }
 
-/// Branching-heuristic ablation on the grid Tseytin CNF (the compiler's
-/// hard case) and the running example.
-fn bench_branch_heuristics(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_branch_heuristic");
-    group.sample_size(10);
-    for (name, dnf) in [("flights", running_example()), ("grid6x6", grid(6, 6))] {
-        let mut circuit = Circuit::new();
-        let root = dnf.to_circuit(&mut circuit);
-        let t = tseytin(&circuit, root);
-        for (hname, h) in [
-            ("max_occurrence", BranchHeuristic::MaxOccurrence),
-            ("jeroslow_wang", BranchHeuristic::JeroslowWang),
-            ("min_index", BranchHeuristic::MinIndex),
-        ] {
-            group.bench_with_input(BenchmarkId::new(hname, name), &t.cnf, |b, cnf| {
-                b.iter(|| compile_with(cnf, &Budget::unlimited(), h).unwrap().0.len())
-            });
-        }
-    }
-    group.finish();
-}
-
 /// Smoothing cost: the structural transformation this repo's arithmetic
 /// gap-completion avoids.
 fn bench_smoothing(c: &mut Criterion) {
@@ -182,7 +160,6 @@ criterion_group!(
     bench_readonce_scaling,
     bench_shap_scores,
     bench_aggregate_count,
-    bench_branch_heuristics,
     bench_smoothing
 );
 criterion_main!(benches);

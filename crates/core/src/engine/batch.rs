@@ -126,8 +126,8 @@ pub struct BatchReport {
     /// fixed-limb integers vs heap bignums, and how many ∧-convolutions
     /// took the NTT path.
     pub num: NumRunStats,
-    /// Cross-lineage component-cache traffic of this run's top-down
-    /// compiles (all zeros when no lineage took the top-down route).
+    /// Cross-lineage component-cache traffic of this run's wide compiles
+    /// (all zeros when no lineage took the wide KC route).
     pub kc_cache: KcCacheRunStats,
     /// Wall time of the whole batch.
     pub total_time: Duration,
@@ -209,7 +209,7 @@ impl BatchExecutor {
         let pool = self.cfg.effective_threads();
         stages::record_measure_requests(self.cfg.measure, tasks as u64);
         // A batch-lived component cache when the planner does not already
-        // carry a resident one: this run's top-down compiles share
+        // carry a resident one: this run's wide compiles share
         // isomorphic residual components across lineages either way.
         let planner = self.run_planner();
 
@@ -498,7 +498,7 @@ pub struct MeasureSweepReport {
     pub threads: usize,
     /// Arithmetic-substrate routing of this sweep.
     pub num: NumRunStats,
-    /// Cross-lineage component-cache traffic of this sweep's top-down
+    /// Cross-lineage component-cache traffic of this sweep's wide
     /// compiles.
     pub kc_cache: KcCacheRunStats,
     /// Wall time of the whole sweep.

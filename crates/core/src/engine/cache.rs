@@ -33,7 +33,7 @@ use super::persist::PersistentLog;
 use super::EngineResult;
 use shapdb_circuit::FingerprintKey;
 use shapdb_metrics::counters::{CACHE_BYPASSES, CACHE_EVICTIONS, CACHE_HITS, CACHE_MISSES};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -89,7 +89,7 @@ pub struct ShapleyCache {
     /// The durable tier, when [`ShapleyCache::with_persistence`] built this
     /// cache: first-time inserts write through to an append-only log under
     /// its own lock (I/O never blocks readers of the LRU lock).
-    log: Option<Mutex<PersistentLog>>,
+    log: Option<Mutex<DurableTier>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -144,8 +144,9 @@ impl ShapleyCache {
             .map(|slot| (&slot.key, &slot.value))
             .collect();
         let log = PersistentLog::create(path, &survivors)?;
+        let persisted = survivors.iter().map(|(key, _)| (*key).clone()).collect();
         drop(survivors);
-        cache.log = Some(Mutex::new(log));
+        cache.log = Some(Mutex::new(DurableTier { log, persisted }));
         Ok(cache)
     }
 
@@ -179,9 +180,11 @@ impl ShapleyCache {
 
     /// Stores a canonical result, evicting the least-recently-used entry
     /// when full. Callers only insert **exact** results (debug-asserted).
-    /// With a persistent tier attached, a first-time key also appends one
-    /// record to the log (best-effort: an I/O failure drops durability for
-    /// that entry, never the in-memory insert).
+    /// With a persistent tier attached, a key that is not yet in the log
+    /// also appends one record (best-effort: an I/O failure drops
+    /// durability for that entry, never the in-memory insert). A key
+    /// evicted from the LRU and recomputed is already in the log, so it is
+    /// not appended again.
     pub fn insert(&self, key: CacheKey, result: EngineResult) {
         debug_assert!(
             result.values.is_exact(),
@@ -196,19 +199,20 @@ impl ShapleyCache {
         if lru.capacity == 0 {
             return;
         }
-        let outcome = lru.insert(key, result);
+        let evicted = lru.insert(key, result);
         drop(lru);
-        if outcome.evicted {
+        if evicted {
             self.evictions.fetch_add(1, Ordering::Relaxed);
             CACHE_EVICTIONS.incr();
         }
         // Append outside the LRU lock: disk latency must not serialize the
-        // solvers. A refreshed (already-present) key is already on disk —
-        // exact results are a function of the key, so re-appending would
-        // only grow the log.
-        if !outcome.was_present {
-            if let (Some(log), Some((key, result))) = (&self.log, &durable) {
-                let _ = lock_recover(log).append(key, result);
+        // solvers. A key already in the log (refreshed in the LRU, or
+        // evicted and recomputed) stays as it is — exact results are a
+        // function of the key, so re-appending would only grow the log.
+        if let (Some(log), Some((key, result))) = (&self.log, durable) {
+            let mut tier = lock_recover(log);
+            if !tier.persisted.contains(&key) && tier.log.append(&key, &result).is_ok() {
+                tier.persisted.insert(key);
             }
         }
     }
@@ -367,16 +371,14 @@ impl Lru {
         })
     }
 
-    /// Inserts (or refreshes) an entry.
-    fn insert(&mut self, key: CacheKey, value: EngineResult) -> InsertOutcome {
+    /// Inserts (or refreshes) an entry; true iff the least-recently-used
+    /// entry was evicted to make room.
+    fn insert(&mut self, key: CacheKey, value: EngineResult) -> bool {
         if let Some(&i) = self.map.get(&key) {
             self.slot_mut(i).value = value;
             self.detach(i);
             self.push_front(i);
-            return InsertOutcome {
-                evicted: false,
-                was_present: true,
-            };
+            return false;
         }
         let mut evicted = false;
         if self.map.len() >= self.capacity {
@@ -402,19 +404,16 @@ impl Lru {
         });
         self.push_front(i);
         self.map.insert(key, i);
-        InsertOutcome {
-            evicted,
-            was_present: false,
-        }
+        evicted
     }
 }
 
-/// What [`Lru::insert`] did: `evicted` — an LRU entry was dropped to make
-/// room; `was_present` — the key was already stored (refresh, not insert),
-/// which the persistent tier uses to skip duplicate appends.
-struct InsertOutcome {
-    evicted: bool,
-    was_present: bool,
+/// The append log plus the keys it holds, under one lock, so a key is
+/// appended at most once however often the LRU evicts and recomputes it.
+#[derive(Debug)]
+struct DurableTier {
+    log: PersistentLog,
+    persisted: HashSet<CacheKey>,
 }
 
 #[cfg(test)]
@@ -623,6 +622,33 @@ mod tests {
         drop(cache);
         let reborn = ShapleyCache::with_persistence(8, &path).unwrap();
         assert_eq!(reborn.stats().replayed, 0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn evicted_and_recomputed_keys_are_appended_once() {
+        let path = tmp_log("reappend");
+        let _ = std::fs::remove_file(&path);
+        let records = |path: &Path| PersistentLog::load(path).unwrap().len();
+        {
+            // Capacity 1: every insert evicts the other key.
+            let cache = ShapleyCache::with_persistence(1, &path).unwrap();
+            for round in 0..50u32 {
+                let tag = round % 2;
+                cache.insert(key(tag), result(tag));
+            }
+            assert_eq!(cache.stats().evictions, 49);
+            assert_eq!(records(&path), 2, "one record per key");
+        }
+        // The restart's compaction survivors seed the persisted set: the
+        // survivor is not appended again, the evicted key once more.
+        let reborn = ShapleyCache::with_persistence(1, &path).unwrap();
+        assert_eq!(records(&path), 1);
+        for round in 0..10u32 {
+            let tag = round % 2;
+            reborn.insert(key(tag), result(tag));
+        }
+        assert_eq!(records(&path), 2);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -24,9 +24,7 @@ use crate::readonce::{power_read_once, shap_read_once};
 use crate::responsibility::{responsibility_all, responsibility_read_once};
 use crate::shap_score::{shap_naive, shap_scores};
 use shapdb_circuit::{factor, tseytin, Circuit, Dnf, NodeId, VarId};
-use shapdb_kc::{
-    compile, compile_circuit_topdown, project, Budget, CompileStats, ComponentCache, Ddnnf,
-};
+use shapdb_kc::{compile_circuit_topdown, Budget, CompileStats, ComponentCache, Ddnnf};
 use shapdb_metrics::counters::ENGINE_SOLVES;
 use shapdb_num::{Bitset, Rational};
 use std::borrow::Cow;
@@ -222,75 +220,59 @@ impl KcEngine {
         Ok(result.into_analysis().expect("KC results always convert"))
     }
 
-    /// Tseytin → compile → project of a circuit root, timed — bottom-up.
+    /// Tseytin → compile → project of a circuit root, timed, with no
+    /// shared component cache.
     pub(crate) fn compile_circuit_root(
         circuit: &Circuit,
         root: NodeId,
         budget: &Budget,
     ) -> Result<CompiledLineage, AnalysisError> {
-        KcEngine::compile_circuit_root_routed(circuit, root, budget, false, None)
+        KcEngine::compile_circuit_root_routed(circuit, root, budget, None)
     }
 
-    /// Tseytin → compile → project of a circuit root, timed, with the
-    /// plan's compiler choice applied: `topdown` selects the
-    /// sharpSAT-style top-down compiler, and `shared` lets that compile
-    /// probe and populate a cross-lineage component cache under the given
-    /// context digest. Both routes produce the same projected d-DNNF
-    /// semantics; only the search strategy (and hence the node layout and
-    /// compile counters) differs.
+    /// Tseytin → compile → project of a circuit root, timed. `shared` lets
+    /// the compile probe and populate a cross-lineage component cache
+    /// under the given context digest; the projected d-DNNF's semantics
+    /// are the same either way, only the node layout and compile counters
+    /// differ.
     pub(crate) fn compile_circuit_root_routed(
         circuit: &Circuit,
         root: NodeId,
         budget: &Budget,
-        topdown: bool,
         shared: Option<(&ComponentCache, u64)>,
     ) -> Result<CompiledLineage, AnalysisError> {
         let kc_start = Instant::now();
-        if topdown {
-            let c = compile_circuit_topdown(circuit, root, budget, shared)
-                .map_err(AnalysisError::Compile)?;
-            return Ok(CompiledLineage {
-                ddnnf: c.ddnnf,
-                input_vars: c.fact_vars,
-                cnf_clauses: c.tseytin.cnf.len(),
-                compile_stats: c.stats,
-                prep_time: kc_start.elapsed(),
-            });
-        }
-        let t = tseytin(circuit, root);
-        let (full, compile_stats) = compile(&t.cnf, budget).map_err(AnalysisError::Compile)?;
-        let ddnnf = project(&full, t.num_inputs());
+        let c = compile_circuit_topdown(circuit, root, budget, shared)
+            .map_err(AnalysisError::Compile)?;
         Ok(CompiledLineage {
-            ddnnf,
-            input_vars: t.input_vars,
-            cnf_clauses: t.cnf.len(),
-            compile_stats,
+            ddnnf: c.ddnnf,
+            input_vars: c.fact_vars,
+            cnf_clauses: c.tseytin.cnf.len(),
+            compile_stats: c.stats,
             prep_time: kc_start.elapsed(),
         })
     }
 
     /// Compiles a (minimized) monotone DNF lineage once — for any number
-    /// of subsequent [`KcEngine::evaluate_compiled`] calls — with the
-    /// plan's compiler choice and optional shared component cache (see
+    /// of subsequent [`KcEngine::evaluate_compiled`] calls — with an
+    /// optional shared component cache (see
     /// [`KcEngine::compile_circuit_root_routed`]).
     pub(crate) fn compile_lineage_routed(
         lineage: &Dnf,
         budget: &Budget,
-        topdown: bool,
         shared: Option<(&ComponentCache, u64)>,
     ) -> Result<CompiledLineage, AnalysisError> {
         let mut circuit = Circuit::new();
         let root = lineage.to_circuit(&mut circuit);
-        KcEngine::compile_circuit_root_routed(&circuit, root, budget, topdown, shared)
+        KcEngine::compile_circuit_root_routed(&circuit, root, budget, shared)
     }
 
-    /// The full KC solve with the plan's compiler choice applied — the
-    /// planner's KC arm calls this so wide lineages compile top-down and
-    /// share component-cache fragments across lineages; the plain
-    /// [`ShapleyEngine::solve`] is the `(false, None)` special case.
+    /// The full KC solve with an optional shared component cache — the
+    /// planner's KC arm passes one for wide lineages so they share
+    /// component-cache fragments across lineages; the plain
+    /// [`ShapleyEngine::solve`] is the `None` special case.
     pub(crate) fn solve_routed(
         task: &LineageTask,
-        topdown: bool,
         shared: Option<(&ComponentCache, u64)>,
     ) -> Result<EngineResult, EngineError> {
         ENGINE_SOLVES.incr();
@@ -311,7 +293,7 @@ impl KcEngine {
                 CompileStats::default(),
             ));
         }
-        let compiled = KcEngine::compile_lineage_routed(&lineage, &task.budget, topdown, shared)
+        let compiled = KcEngine::compile_lineage_routed(&lineage, &task.budget, shared)
             .map_err(EngineError::Analysis)?;
         KcEngine::evaluate_compiled(&compiled, task.n_endo, &task.exact, task.measure)
     }
@@ -367,7 +349,7 @@ impl ShapleyEngine for KcEngine {
     }
 
     fn solve(&self, task: &LineageTask) -> Result<EngineResult, EngineError> {
-        KcEngine::solve_routed(task, false, None)
+        KcEngine::solve_routed(task, None)
     }
 }
 

@@ -38,6 +38,15 @@ use shapdb_query::{is_hierarchical, is_self_join_free, Ucq};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Non-read-once KC lineages with more (minimized) variables than this
+/// compile against the planner's shared [`ComponentCache`]; narrower ones
+/// compile without it. On narrow structures the canonical encoding,
+/// fragment extraction and stored fragments cost more time and memory than
+/// the cross-lineage hits save (measured on the JOB corpus: +114 MB peak
+/// RSS and about 8 % fewer answers per second when every structure used
+/// the cache); on wide ones the hits dominate.
+const SHARED_CACHE_MIN_VARS: usize = 48;
+
 /// Planner policy knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct PlannerConfig {
@@ -52,13 +61,6 @@ pub struct PlannerConfig {
     /// Knowledge-compilation admission: max lineage conjuncts (same
     /// semantics as [`PlannerConfig::max_kc_vars`]).
     pub max_kc_conjuncts: usize,
-    /// Non-read-once lineages with more (minimized) variables than this
-    /// compile with the **top-down** compiler (component caching by
-    /// canonical encoding, conflict-activity VSADS) instead of the
-    /// bottom-up trace compiler — the regime where dynamic decomposition
-    /// and cross-lineage fragment reuse pay for their overhead. Below it
-    /// the bottom-up compiler's lower constant factor wins.
-    pub topdown_min_vars: usize,
     /// Naive-enumeration admission: non-read-once lineages with at most
     /// this many (minimized) variables route to `O(2ⁿ)` enumeration, which
     /// beats Tseytin + compilation + Algorithm 1 below ~10 variables.
@@ -82,13 +84,12 @@ impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
             force: None,
-            // The top-down compiler's component cache tames the wide
-            // non-read-once lineages the old 128-variable cap excluded.
+            // Gate-first branching keeps wide non-read-once lineages
+            // tractable (see the `kc_wide` bench).
             max_kc_vars: 1024,
             max_kc_conjuncts: 4096,
             max_naive_vars: 10,
             max_naive_conjuncts: 64,
-            topdown_min_vars: 48,
             timeout: None,
             fallback: None,
         }
@@ -124,9 +125,9 @@ pub enum PlanReason {
     TinyNaive,
     /// Within the KC variable/conjunct admission budget.
     KcWithinBudget,
-    /// Within the KC budget but wide (over
-    /// [`PlannerConfig::topdown_min_vars`] variables): compiled by the
-    /// top-down compiler with the canonical component cache.
+    /// Within the KC budget and wide (over 48 minimized variables):
+    /// compiled against the planner's cross-lineage component cache, when
+    /// one is attached. Narrower KC lineages compile without it.
     KcWideTopDown,
     /// Beyond the admission budget: routed to the fallback engine (or to KC
     /// regardless, in exact mode).
@@ -200,10 +201,10 @@ pub struct Planner {
     /// planner (the batch executor's and the facade's views are the same
     /// cache).
     cache: Option<Arc<ShapleyCache>>,
-    /// The cross-lineage *component* cache the top-down compiler shares:
+    /// The cross-lineage *component* cache wide KC compiles share:
     /// canonical residual components compiled under one lineage replay
-    /// under every other lineage this planner (or any clone) compiles —
-    /// the sub-lineage analogue of the fingerprint dedup.
+    /// under every other wide lineage this planner (or any clone)
+    /// compiles — the sub-lineage analogue of the fingerprint dedup.
     component_cache: Option<Arc<ComponentCache>>,
 }
 
@@ -237,10 +238,11 @@ impl Planner {
         self
     }
 
-    /// Attaches a shared component cache for the top-down compiler: d-DNNF
-    /// fragments of canonical residual components persist across every
-    /// lineage this planner (and every clone — the batch, sequential, and
-    /// service paths all share it) compiles top-down. Entries are
+    /// Attaches a shared component cache: d-DNNF fragments of canonical
+    /// residual components persist across every wide
+    /// ([`PlanReason::KcWideTopDown`]) lineage this planner (and every
+    /// clone — the batch, sequential, and service paths all share it)
+    /// compiles. Narrower KC lineages compile without it. Entries are
     /// segregated by a context digest of `n_endo` and the solve policy
     /// (`Planner::component_context`), so a fragment never crosses
     /// incompatible configurations.
@@ -356,7 +358,7 @@ impl Planner {
                 }
                 if vars <= self.cfg.max_kc_vars && conjuncts <= self.cfg.max_kc_conjuncts {
                     PLANNER_KC_ROUTES.incr();
-                    let reason = if vars > self.cfg.topdown_min_vars {
+                    let reason = if vars > SHARED_CACHE_MIN_VARS {
                         PLANNER_KC_TOPDOWN_ROUTES.incr();
                         PlanReason::KcWideTopDown
                     } else {
@@ -558,15 +560,10 @@ impl Planner {
                 {
                     let effective = self.apply_timeout(&ctask);
                     let comp = compiled.get_or_insert_with(|| {
-                        let shared = self
-                            .component_cache
-                            .as_deref()
-                            .map(|c| (c, self.component_context(n_endo, &effective.budget)));
                         KcEngineImpl::compile_lineage_routed(
                             effective.lineage,
                             &effective.budget,
-                            plan.reason == PlanReason::KcWideTopDown,
-                            shared,
+                            self.shared_cache_for(plan, n_endo, &effective.budget),
                         )
                         .map_err(EngineError::Analysis)
                     });
@@ -635,23 +632,10 @@ impl Planner {
                 // (factorization) time.
                 ReadOnceEngine.solve_tree(tree, prep_time, &effective)
             }
-            (EngineKind::Kc, _) => {
-                // The KC route carries the plan's compiler choice: wide
-                // lineages compile top-down, and when this planner holds a
-                // shared component cache the compile probes/stores
-                // fragments under the solve's context digest.
-                let shared = self.component_cache.as_deref().map(|c| {
-                    (
-                        c,
-                        self.component_context(effective.n_endo, &effective.budget),
-                    )
-                });
-                KcEngineImpl::solve_routed(
-                    &effective,
-                    plan.reason == PlanReason::KcWideTopDown,
-                    shared,
-                )
-            }
+            (EngineKind::Kc, _) => KcEngineImpl::solve_routed(
+                &effective,
+                self.shared_cache_for(plan, effective.n_endo, &effective.budget),
+            ),
             (engine, _) => engine.engine().solve(&effective),
         };
         match solved {
@@ -687,7 +671,6 @@ impl Planner {
         self.cfg.max_kc_conjuncts.hash(&mut h);
         self.cfg.max_naive_vars.hash(&mut h);
         self.cfg.max_naive_conjuncts.hash(&mut h);
-        self.cfg.topdown_min_vars.hash(&mut h);
         self.cfg.timeout.hash(&mut h);
         self.cfg.fallback.map(EngineKind::name).hash(&mut h);
         budget.max_nodes.hash(&mut h);
@@ -697,7 +680,23 @@ impl Planner {
         h.finish()
     }
 
-    /// The context digest under which this planner's top-down compiles
+    /// The shared component cache and context digest a KC compile under
+    /// `plan` uses: only wide plans ([`PlanReason::KcWideTopDown`]) probe
+    /// the cache, and only when this planner holds one.
+    fn shared_cache_for(
+        &self,
+        plan: Plan,
+        n_endo: usize,
+        budget: &Budget,
+    ) -> Option<(&ComponentCache, u64)> {
+        if plan.reason != PlanReason::KcWideTopDown {
+            return None;
+        }
+        let cache = self.component_cache.as_deref()?;
+        Some((cache, self.component_context(n_endo, budget)))
+    }
+
+    /// The context digest under which this planner's wide compiles
     /// store and probe shared component-cache fragments. Two solves share
     /// fragments **only** when both their endogenous-variable count and
     /// their whole solve policy (every `cache_digest` knob) agree — a
@@ -1310,17 +1309,23 @@ mod tests {
 
     #[test]
     fn wide_lineages_take_the_topdown_route() {
-        // Tentpole admission: past `topdown_min_vars` the KC route selects
-        // the top-down compiler (and counts the route); below it, the
-        // classic bottom-up reason stands. The raised `max_kc_vars`
-        // default admits the 51-var lineage at all.
+        // Past `SHARED_CACHE_MIN_VARS` the KC route is the wide one (and
+        // the route is counted); at or below it, the plain KC reason
+        // stands. The raised `max_kc_vars` default admits the 51-var
+        // lineage at all.
         let planner = Planner::new(PlannerConfig::default());
-        let wide = majority_blocks(17); // 51 vars > topdown_min_vars (48)
+        let wide = majority_blocks(17); // 51 vars > 48
         let before = PLANNER_KC_TOPDOWN_ROUTES.get();
         let plan = planner.plan(&wide);
         assert_eq!(plan.engine, EngineKind::Kc);
         assert_eq!(plan.reason, PlanReason::KcWideTopDown);
         assert_eq!(PLANNER_KC_TOPDOWN_ROUTES.get(), before + 1);
+        let at_threshold = majority_blocks(16); // 48 vars
+        assert_eq!(at_threshold.vars().len(), SHARED_CACHE_MIN_VARS);
+        assert_eq!(
+            planner.plan(&at_threshold).reason,
+            PlanReason::KcWithinBudget
+        );
         assert_eq!(
             planner.plan(&majority_blocks(4)).reason,
             PlanReason::KcWithinBudget
@@ -1328,63 +1333,70 @@ mod tests {
     }
 
     #[test]
-    fn topdown_and_bottom_up_solve_identically_on_every_measure() {
-        // The same wide structure through both compiler routes must yield
-        // bit-identical exact rationals on all four measures.
-        let topdown = Planner::new(PlannerConfig {
+    fn shared_and_uncached_compiles_match_naive_on_every_measure() {
+        // The same structure compiled against a shared component cache and
+        // without one must yield exact rationals bit-identical to naive
+        // Eq. (1) enumeration, on all four measures. Naive SHAP-score is
+        // O(4ⁿ), so the structure stays at 9 vars.
+        let wide = majority_blocks(3);
+        let uncached = Planner::new(PlannerConfig {
             max_naive_vars: 0,
-            topdown_min_vars: 0,
             ..Default::default()
         });
-        let bottom_up = Planner::new(PlannerConfig {
-            max_naive_vars: 0,
-            topdown_min_vars: usize::MAX,
+        assert_eq!(uncached.plan(&wide).reason, PlanReason::KcWithinBudget);
+        let naive = Planner::new(PlannerConfig {
+            force: Some(EngineKind::Naive),
             ..Default::default()
         });
-        let wide = majority_blocks(4);
-        assert_eq!(topdown.plan(&wide).reason, PlanReason::KcWideTopDown);
-        assert_eq!(bottom_up.plan(&wide).reason, PlanReason::KcWithinBudget);
+        let cache = ComponentCache::new();
         for measure in Measure::ALL {
-            let task = LineageTask::new(&wide, 12).with_measure(measure);
-            let td = topdown.solve(&task).unwrap();
-            let bu = bottom_up.solve(&task).unwrap();
-            assert!(td.values.is_exact(), "{measure}");
-            assert_eq!(td.values, bu.values, "{measure}");
+            let task = LineageTask::new(&wide, 9).with_measure(measure);
+            let oracle = naive.solve(&task).unwrap();
+            assert_eq!(oracle.engine, EngineKind::Naive);
+            let direct = uncached.solve(&task).unwrap();
+            assert_eq!(direct.engine, EngineKind::Kc);
+            let shared = KcEngineImpl::solve_routed(&task, Some((&cache, 0))).unwrap();
+            assert!(shared.values.is_exact(), "{measure}");
+            assert_eq!(direct.values, oracle.values, "{measure}");
+            assert_eq!(shared.values, oracle.values, "{measure}");
         }
+        assert!(cache.stats().hits > 0, "isomorphic blocks hit the cache");
     }
 
     #[test]
     fn component_cache_never_serves_across_n_endo_or_policy() {
-        use shapdb_kc::ComponentCache;
         use std::sync::Arc;
         let cache = Arc::new(ComponentCache::new());
-        let cfg = PlannerConfig {
-            max_naive_vars: 0,
-            topdown_min_vars: 0,
-            ..Default::default()
-        };
+        let cfg = PlannerConfig::default();
         let planner = Planner::new(cfg).with_component_cache(cache.clone());
         let b = Budget::unlimited();
         // The context digest segregates by n_endo and by every policy knob.
-        let ctx = planner.component_context(12, &b);
-        assert_ne!(ctx, planner.component_context(13, &b), "n_endo");
+        let ctx = planner.component_context(51, &b);
+        assert_ne!(ctx, planner.component_context(53, &b), "n_endo");
         let other_policy = Planner::new(PlannerConfig {
             max_kc_vars: 512,
             ..cfg
         });
-        assert_ne!(ctx, other_policy.component_context(12, &b), "policy");
+        assert_ne!(ctx, other_policy.component_context(51, &b), "policy");
 
-        // Regression: solving the same structure under a *different*
+        // A structure at the width threshold compiles without the cache.
+        let narrow = majority_blocks(16);
+        let r = planner.solve(&LineageTask::new(&narrow, 48)).unwrap();
+        assert_eq!(r.compile_stats.shared_hits, 0);
+        let untouched = cache.stats();
+        assert_eq!((untouched.hits, untouched.misses), (0, 0));
+
+        // Regression: solving the same wide structure under a *different*
         // n_endo replays the cold compile exactly — identical decision and
         // shared-hit counters — instead of being served fragments stored
         // under the first context; within one context the second solve is
         // answered entirely from the cache.
-        let wide = majority_blocks(4);
-        let cold = planner.solve(&LineageTask::new(&wide, 12)).unwrap();
-        let warm = planner.solve(&LineageTask::new(&wide, 12)).unwrap();
+        let wide = majority_blocks(17);
+        let cold = planner.solve(&LineageTask::new(&wide, 51)).unwrap();
+        let warm = planner.solve(&LineageTask::new(&wide, 51)).unwrap();
         assert_eq!(warm.compile_stats.decisions, 0, "same context: cached");
         assert!(warm.compile_stats.shared_hits > 0);
-        let other = planner.solve(&LineageTask::new(&wide, 14)).unwrap();
+        let other = planner.solve(&LineageTask::new(&wide, 53)).unwrap();
         assert_eq!(
             (
                 other.compile_stats.decisions,
@@ -1396,7 +1408,7 @@ mod tests {
         assert!(other.compile_stats.decisions > 0);
         // Values are unaffected by the cache in every configuration.
         let no_cache = Planner::new(cfg);
-        for n_endo in [12usize, 14] {
+        for n_endo in [51usize, 53] {
             let direct = no_cache.solve(&LineageTask::new(&wide, n_endo)).unwrap();
             let cached = planner.solve(&LineageTask::new(&wide, n_endo)).unwrap();
             assert_eq!(direct.values, cached.values, "n_endo={n_endo}");
@@ -1407,10 +1419,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(16))]
         /// Random DNFs built as two halves plus a few bridge conjuncts —
         /// straddling the component-decomposition boundary — solve to the
-        /// same exact rationals through the top-down and bottom-up
-        /// compiler routes, on every measure.
+        /// same exact rationals compiled with and without a shared
+        /// component cache as by naive enumeration, on every measure.
         #[test]
-        fn prop_topdown_matches_bottom_up_across_measures(
+        fn prop_kc_routes_match_naive_across_measures(
             left in proptest::collection::vec(
                 proptest::collection::vec(0u32..5, 1..4), 1..5),
             right in proptest::collection::vec(
@@ -1422,21 +1434,18 @@ mod tests {
             for c in left.iter().chain(&right).chain(&bridges) {
                 d.add_conjunct(c.iter().map(|&v| VarId(v)).collect());
             }
-            let topdown = Planner::new(PlannerConfig {
-                max_naive_vars: 0,
-                topdown_min_vars: 0,
+            let naive = Planner::new(PlannerConfig {
+                force: Some(EngineKind::Naive),
                 ..Default::default()
             });
-            let bottom_up = Planner::new(PlannerConfig {
-                max_naive_vars: 0,
-                topdown_min_vars: usize::MAX,
-                ..Default::default()
-            });
+            let cache = ComponentCache::new();
             for measure in Measure::ALL {
                 let task = LineageTask::new(&d, 10).with_measure(measure);
-                let td = topdown.solve(&task).unwrap();
-                let bu = bottom_up.solve(&task).unwrap();
-                prop_assert_eq!(&td.values, &bu.values, "{}", measure);
+                let oracle = naive.solve(&task).unwrap();
+                let uncached = KcEngineImpl::solve_routed(&task, None).unwrap();
+                let shared = KcEngineImpl::solve_routed(&task, Some((&cache, 0))).unwrap();
+                prop_assert_eq!(&uncached.values, &oracle.values, "{}", measure);
+                prop_assert_eq!(&shared.values, &oracle.values, "{}", measure);
             }
         }
     }

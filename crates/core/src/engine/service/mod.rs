@@ -359,7 +359,7 @@ impl ShapleyService {
     /// one, requests solve independently.
     pub fn new(planner: Planner, cfg: ServiceConfig) -> ShapleyService {
         // A resident component cache (unless the caller attached their
-        // own): every worker's top-down compiles share d-DNNF fragments
+        // own): every worker's wide compiles share d-DNNF fragments
         // across requests for the service's whole lifetime. Per-request
         // policy overrides clone the planner and keep this `Arc`; the
         // context digest keeps incompatible policies segregated inside it.

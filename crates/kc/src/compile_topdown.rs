@@ -1,39 +1,55 @@
-//! Top-down decision-DNNF compilation with a cross-lineage component cache.
+//! The CNF → d-DNNF compiler: top-down decision-DNNF compilation with an
+//! optional cross-lineage component cache.
 //!
-//! The bottom-up trace compiler (`crate::compile`) keys its component
-//! cache by *residual clause ids*, which is cheap and sound but strictly
-//! compilation-local: clause ids mean nothing outside one CNF. This module
-//! is the sharpSAT/GANAK-style successor built for wide lineages:
+//! An exhaustive DPLL search that *records* its trace as a d-DNNF (the
+//! c2d/Dsharp recipe the paper's pipeline invokes externally), in the
+//! sharpSAT/GANAK style:
 //!
-//! * **dynamic component decomposition** after every propagation fixpoint,
-//!   over the same epoch-stamped union-find scratch
-//!   (`crate::scratch::EpochScratch`) the bottom-up compiler uses;
-//! * **VSADS branching with conflict-driven activity**: the static
+//! * **unit propagation** forces literals, which become children of a
+//!   decomposable ∧;
+//! * **dynamic component decomposition** after every propagation fixpoint
+//!   (over the epoch-stamped union-find of `crate::scratch::EpochScratch`):
+//!   components share no variables, so their conjunction is decomposable;
+//! * **branching** on a variable yields a *decision* ∨ node
+//!   `(v ∧ C|v) ∨ (¬v ∧ C|¬v)`, deterministic by construction. Variables
+//!   are picked by **VSADS with conflict-driven activity**: the static
 //!   occurrence/clause-size blend of the model-counting literature, plus a
 //!   dynamic activity term bumped on every propagation conflict and decayed
 //!   periodically — the CDCL signal enters through branch *ordering*, which
-//!   can never change the compiled function;
-//! * **nogood learning as canonical caching**: a residual component that
-//!   refutes (compiles to ⊥) is stored under its canonical encoding like
-//!   any other, so every branch — in this compilation or any later one
-//!   sharing the cache — that regenerates an isomorphic UNSAT component
-//!   short-circuits without search. This is the GANAK view that component
-//!   caching subsumes nogood learning. Full CDCL *clause* learning is
-//!   deliberately excluded: a learned clause is implied by the conjunction
-//!   of **all** components, so letting it prune inside one component can
-//!   undercount when a sibling component is unsatisfiable, and the wrong
-//!   count would be cached and reused where the sibling is satisfiable
-//!   (the classic unsoundness Sang et al. had to patch in sharpSAT).
-//!   Exactness is the contract here — Algorithm 1 consumes these circuits
-//!   as ground truth — so only order-affecting learning is admitted;
-//! * the headline: a **[`ComponentCache`] keyed by the canonical residual
-//!   component encoding**, independent of clause ids and variable names,
-//!   holding portable d-DNNF fragments. Isomorphic subcomponents recur
-//!   across the answers of one query (the same join gadget instantiated
-//!   per answer) exactly like whole lineages recur across the PR-2
-//!   fingerprint dedup — but at sub-lineage granularity, where fingerprint
-//!   equality fails. Shared behind an `Arc` through the planner, one cache
-//!   serves the batch, sequential, and service paths.
+//!   can never change the compiled function. On Tseytin CNFs, gate
+//!   variables are branched before inputs;
+//! * **a compilation-local component cache** keyed by the residual clause
+//!   ids plus the component's variables (sound because a residual clause is
+//!   its original literals restricted to the unassigned variables), so
+//!   equal sub-formulas compile once per CNF;
+//! * **an optional shared [`ComponentCache`]** keyed by the canonical
+//!   residual-component encoding below, independent of clause ids and
+//!   variable names, holding portable d-DNNF fragments. Isomorphic
+//!   subcomponents recur across the answers of one query (the same join
+//!   gadget instantiated per answer), at sub-lineage granularity where
+//!   whole-lineage fingerprint equality fails. Shared behind an `Arc`
+//!   through the planner, one cache serves the batch, sequential and
+//!   service paths. The planner attaches it only to wide lineages: on
+//!   narrow ones the encoding, fragment extraction and stored fragments
+//!   cost more time and memory than the hits save. [`crate::compile()`] and
+//!   [`crate::compile_circuit()`] run without it.
+//!
+//! With a shared cache attached, a residual component that refutes
+//! (compiles to ⊥) is stored under its canonical encoding like any other,
+//! so every later branch that regenerates an isomorphic UNSAT component
+//! short-circuits without search — the GANAK view that component caching
+//! subsumes nogood learning. Full CDCL *clause* learning is deliberately
+//! excluded: a learned clause is implied by the conjunction of **all**
+//! components, so letting it prune inside one component can undercount
+//! when a sibling component is unsatisfiable, and the wrong count would be
+//! cached and reused where the sibling is satisfiable (the classic
+//! unsoundness Sang et al. had to patch in sharpSAT). Exactness is the
+//! contract here — Algorithm 1 consumes these circuits as ground truth —
+//! so only order-affecting learning is admitted.
+//!
+//! The compiler deliberately does **not** use the pure-literal rule: it
+//! preserves satisfiability but not equivalence, and knowledge compilation
+//! needs equivalence (model counting would silently break).
 //!
 //! # The canonical encoding
 //!
@@ -320,7 +336,7 @@ impl ComponentCache {
 }
 
 /// One component-cache bucket of the compilation-local (clause-id-keyed)
-/// cache, as in the bottom-up compiler.
+/// cache.
 type LocalBucket = Vec<(Box<[u32]>, NodeIdx)>;
 
 const UNASSIGNED: i8 = -1;
@@ -328,6 +344,7 @@ const UNASSIGNED: i8 = -1;
 /// Conflict-activity decay period (conflicts between halvings).
 const ACTIVITY_DECAY_PERIOD: u64 = 128;
 
+/// The compiler state for one CNF (see the module docs).
 struct TopDownCompiler<'a> {
     clauses: Vec<Vec<Lit>>,
     assign: Vec<i8>,
@@ -342,7 +359,7 @@ struct TopDownCompiler<'a> {
     ticks: u32,
     /// Variable → ids of the clauses containing it.
     occurs: Vec<Vec<u32>>,
-    /// Epoch-stamped phase state shared with the bottom-up compiler.
+    /// Epoch-stamped per-variable/per-clause phase state.
     scratch: EpochScratch,
     /// Conflict-driven branching activity per variable (VSADS dynamic
     /// term): bumped for every variable of a conflicting clause, halved
@@ -430,10 +447,12 @@ impl<'a> TopDownCompiler<'a> {
         )
     }
 
-    /// Unit propagation over the scoped clause set (occurrence-index
-    /// driven, trail doubles as the queue — same scheme as the bottom-up
-    /// compiler). Returns the id of a conflicting clause, if any, leaving
-    /// the trail for the caller to unwind.
+    /// Unit propagation over the scoped clause set, driven by the
+    /// variable→clause occurrence index: after one seeding scan, only
+    /// clauses containing a freshly assigned variable are re-examined.
+    /// Assignments are pushed onto `trail` (which doubles as the
+    /// propagation queue). Returns the id of a conflicting clause, if any,
+    /// leaving the trail for the caller to unwind.
     fn propagate(
         &mut self,
         clause_ids: &[u32],
@@ -572,7 +591,7 @@ impl<'a> TopDownCompiler<'a> {
     }
 
     /// VSADS with conflict activity: per occurrence `1 + 8·2^{-|clause|}`
-    /// (the static blend the bottom-up compiler's `Vsads` uses), plus the
+    /// (every occurrence counts 1, short clauses add a bonus), plus the
     /// variable's conflict activity. Ties break toward the smaller id, so a
     /// given compilation is deterministic.
     ///
@@ -625,9 +644,10 @@ impl<'a> TopDownCompiler<'a> {
     }
 
     /// Compilation-local cache key: ascending residual clause ids, a
-    /// separator, the component's sorted variables (same scheme as the
-    /// bottom-up compiler — sound because a residual clause is its original
-    /// literals restricted to the unassigned variables).
+    /// separator, the component's sorted variables (sound because a
+    /// residual clause is its original literals restricted to the
+    /// unassigned variables), hashed once with FNV-1a so probes never
+    /// re-hash the whole key.
     fn local_key(&mut self, comp: &[(u32, Vec<Lit>)]) -> (u64, Box<[u32]>) {
         let mut key: Vec<u32> = Vec::with_capacity(comp.len() * 3);
         for (cid, _) in comp {
@@ -765,7 +785,7 @@ impl<'a> TopDownCompiler<'a> {
     }
 
     /// Compiles one connected component: local cache → shared canonical
-    /// cache → VSADS branch; results land in both caches.
+    /// cache (when attached) → VSADS branch; results land in both caches.
     fn compile_component(&mut self, comp: &[(u32, Vec<Lit>)]) -> Result<NodeIdx, CompileError> {
         let (hash, key) = self.local_key(comp);
         if let Some(bucket) = self.local.get(&hash) {
@@ -821,15 +841,7 @@ impl<'a> TopDownCompiler<'a> {
     }
 }
 
-/// Compiles a CNF top-down into a d-DNNF over the same variable space,
-/// without a shared cache (an owned per-compilation [`ComponentCache`]
-/// still provides intra-compilation canonical sharing).
-pub fn compile_topdown(cnf: &Cnf, budget: &Budget) -> Result<(Ddnnf, CompileStats), CompileError> {
-    let owned = ComponentCache::new();
-    compile_topdown_shared(cnf, budget, &owned, 0)
-}
-
-/// [`compile_topdown`] against a shared [`ComponentCache`]: fragments
+/// [`crate::compile()`] against a shared [`ComponentCache`]: fragments
 /// compiled here become visible to every later compilation probing with
 /// the same `context` digest, and vice versa.
 pub fn compile_topdown_shared(
@@ -838,22 +850,21 @@ pub fn compile_topdown_shared(
     cache: &ComponentCache,
     context: u64,
 ) -> Result<(Ddnnf, CompileStats), CompileError> {
-    compile_topdown_with_aux(cnf, budget, cache, context, cnf.num_vars())
+    compile_cnf(cnf, budget, Some((cache, context)), cnf.num_vars())
 }
 
-/// [`compile_topdown_shared`] that additionally treats CNF variables
-/// `>= aux_from` as Tseytin gate variables, branched in preference to
-/// inputs (see [`TopDownCompiler::pick_branch_var`] for why that keeps
-/// lineage encodings polynomial). `aux_from == num_vars` disables the
-/// preference.
-fn compile_topdown_with_aux(
+/// Compiles `cnf`, probing and populating `shared` (a cache and a context
+/// digest) when given. CNF variables `>= aux_from` are Tseytin gate
+/// variables, branched in preference to inputs (see
+/// [`TopDownCompiler::pick_branch_var`] for why that keeps lineage
+/// encodings polynomial); `aux_from == num_vars` disables the preference.
+pub(crate) fn compile_cnf(
     cnf: &Cnf,
     budget: &Budget,
-    cache: &ComponentCache,
-    context: u64,
+    shared: Option<(&ComponentCache, u64)>,
     aux_from: usize,
 ) -> Result<(Ddnnf, CompileStats), CompileError> {
-    let mut c = TopDownCompiler::new(cnf, budget, Some((cache, context)), aux_from);
+    let mut c = TopDownCompiler::new(cnf, budget, shared, aux_from);
     // An empty clause makes the whole formula unsatisfiable.
     let root = if cnf.clauses().iter().any(|cl| cl.is_empty()) {
         c.builder.false_node()
@@ -866,8 +877,9 @@ fn compile_topdown_with_aux(
     Ok((c.builder.finish(root, cnf.num_vars()), stats))
 }
 
-/// Circuit → Tseytin CNF → top-down compile → project (Lemma 4.6) — the
-/// wide-lineage counterpart of [`crate::compile_circuit`].
+/// Circuit → Tseytin CNF → compile → project (Lemma 4.6), probing and
+/// populating `shared` when given; with `None` this is exactly
+/// [`crate::compile_circuit()`].
 pub fn compile_circuit_topdown(
     circuit: &Circuit,
     root: NodeId,
@@ -875,15 +887,7 @@ pub fn compile_circuit_topdown(
     shared: Option<(&ComponentCache, u64)>,
 ) -> Result<CircuitCompilation, CompileError> {
     let t = tseytin(circuit, root);
-    let owned;
-    let (cache, context) = match shared {
-        Some(pair) => pair,
-        None => {
-            owned = ComponentCache::new();
-            (&owned, 0)
-        }
-    };
-    let (full, stats) = compile_topdown_with_aux(&t.cnf, budget, cache, context, t.num_inputs())?;
+    let (full, stats) = compile_cnf(&t.cnf, budget, shared, t.num_inputs())?;
     let unprojected_size = full.len();
     let ddnnf = project(&full, t.num_inputs());
     Ok(CircuitCompilation {
@@ -902,7 +906,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn check_compiled(cnf: &Cnf) -> CompileStats {
-        let (d, stats) = compile_topdown(cnf, &Budget::unlimited()).unwrap();
+        let (d, stats) = compile(cnf, &Budget::unlimited()).unwrap();
         d.verify_decomposable().unwrap();
         d.verify_decisions().unwrap();
         d.check_determinism_sampled(50, 11).unwrap();
@@ -947,11 +951,11 @@ mod tests {
 
     #[test]
     fn empty_and_empty_clause_cnfs() {
-        let (d, _) = compile_topdown(&Cnf::new(3), &Budget::unlimited()).unwrap();
+        let (d, _) = compile(&Cnf::new(3), &Budget::unlimited()).unwrap();
         assert_eq!(d.count_models().to_u64(), Some(8));
         let mut cnf = Cnf::new(2);
         cnf.push_lits(vec![]);
-        let (d, _) = compile_topdown(&cnf, &Budget::unlimited()).unwrap();
+        let (d, _) = compile(&cnf, &Budget::unlimited()).unwrap();
         assert_eq!(d.count_models().to_u64(), Some(0));
     }
 
@@ -962,7 +966,7 @@ mod tests {
             cnf.push_lits(vec![Lit::pos(2 * i), Lit::pos(2 * i + 1)]);
             cnf.push_lits(vec![Lit::neg(2 * i), Lit::pos((2 * i + 3) % 12)]);
         }
-        let err = compile_topdown(&cnf, &Budget::with_max_nodes(3)).unwrap_err();
+        let err = compile(&cnf, &Budget::with_max_nodes(3)).unwrap_err();
         assert_eq!(err, CompileError::NodeLimit);
     }
 
@@ -1100,12 +1104,13 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-        /// Top-down ≡ bottom-up model counts on random CNFs. Two 5-variable
-        /// halves plus optional bridging clauses straddle the decomposition
-        /// boundary: empty bridge → components split at the root; bridged →
-        /// splits happen only under branches.
+        /// Brute-force model counts on random CNFs, with and without a
+        /// shared cache. Two 5-variable halves plus optional bridging
+        /// clauses straddle the decomposition boundary: empty bridge →
+        /// components split at the root; bridged → splits happen only
+        /// under branches.
         #[test]
-        fn prop_topdown_matches_bottom_up(
+        fn prop_matches_bruteforce_with_and_without_shared_cache(
             left in proptest::collection::vec(
                 proptest::collection::vec((0usize..5, any::<bool>()), 1..4), 0..6),
             right in proptest::collection::vec(
@@ -1119,13 +1124,15 @@ mod tests {
                     c.iter().map(|&(v, pos)| if pos { Lit::pos(v) } else { Lit::neg(v) }).collect(),
                 );
             }
-            let (td, _) = compile_topdown(&cnf, &Budget::unlimited()).unwrap();
-            let (bu, _) = compile(&cnf, &Budget::unlimited()).unwrap();
-            prop_assert_eq!(td.count_models(), bu.count_models());
-            prop_assert_eq!(td.count_models().to_u64().unwrap(), cnf.count_models_bruteforce());
-            prop_assert!(td.verify_decomposable().is_ok());
-            prop_assert!(td.verify_decisions().is_ok());
-            prop_assert!(td.check_determinism_sampled(20, 5).is_ok());
+            let (d, _) = compile(&cnf, &Budget::unlimited()).unwrap();
+            prop_assert_eq!(d.count_models().to_u64().unwrap(), cnf.count_models_bruteforce());
+            prop_assert!(d.verify_decomposable().is_ok());
+            prop_assert!(d.verify_decisions().is_ok());
+            prop_assert!(d.check_determinism_sampled(20, 5).is_ok());
+            let cache = ComponentCache::new();
+            let (shared, _) = compile_topdown_shared(&cnf, &Budget::unlimited(), &cache, 0).unwrap();
+            prop_assert_eq!(shared.count_models(), d.count_models());
+            prop_assert!(shared.verify_decomposable().is_ok());
         }
 
         /// A shared cache warmed by one CNF never changes another CNF's

@@ -8,22 +8,17 @@
 //! * [`Ddnnf`] — the compiled representation (NNF arena with decision-∨
 //!   nodes), with model counting, weighted model counting (probability), and
 //!   structural verification;
-//! * [`compile()`](compile()) — an exhaustive-DPLL compiler (unit propagation, connected-
-//!   component decomposition, component caching, branching) with cooperative
-//!   deadline / node budgets so the hybrid engine (§6.3) can time out;
+//! * [`compile()`](compile()) — the CNF → d-DNNF compiler (unit propagation,
+//!   dynamic component decomposition, component caching, VSADS branching)
+//!   with cooperative deadline / node budgets so the hybrid engine (§6.3)
+//!   can time out. There is one compiler ([`compile_topdown`]); a
+//!   [`ComponentCache`] keyed by the canonical residual-component encoding
+//!   can optionally be **shared across lineages**
+//!   ([`compile_topdown_shared`], [`compile_circuit_topdown`]);
 //! * [`project()`](project()) — the auxiliary-variable elimination of Lemma 4.6, turning a
 //!   d-DNNF over `vars(C') ∪ Z` into one over `vars(C')` only;
 //! * [`compile_circuit()`](compile_circuit) — the full middle path of Figure 3
-//!   (circuit → Tseytin → compile → project);
-//! * [`compile_topdown()`](compile_topdown()) — the sharpSAT/GANAK-style
-//!   top-down compiler for wide non-read-once lineages, with VSADS
-//!   branching over conflict activity and a [`ComponentCache`] keyed by the
-//!   canonical residual-component encoding that can be **shared across
-//!   lineages** ([`compile_topdown_shared`], [`compile_circuit_topdown`]).
-//!
-//! The compilers deliberately do **not** use the pure-literal rule: it
-//! preserves satisfiability but not equivalence, and knowledge compilation
-//! needs equivalence (all of model counting would silently break).
+//!   (circuit → Tseytin → compile → project).
 
 pub mod compile;
 pub mod compile_topdown;
@@ -34,12 +29,10 @@ mod scratch;
 pub mod smooth;
 
 pub use compile::{
-    compile, compile_circuit, compile_with, BranchHeuristic, Budget, CircuitCompilation,
-    CompileError, CompileStats,
+    compile, compile_circuit, Budget, CircuitCompilation, CompileError, CompileStats,
 };
 pub use compile_topdown::{
-    compile_circuit_topdown, compile_topdown, compile_topdown_shared, ComponentCache,
-    ComponentCacheStats,
+    compile_circuit_topdown, compile_topdown_shared, ComponentCache, ComponentCacheStats,
 };
 pub use ddnnf::{DNode, Ddnnf, DdnnfBuilder, NodeIdx};
 pub use nnf_format::{from_nnf, to_nnf, NnfError};

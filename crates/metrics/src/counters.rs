@@ -65,7 +65,8 @@ pub static BATCH_DEDUP_HITS: Counter = Counter::new("batch.dedup_hits");
 pub static ENGINE_SOLVES: Counter = Counter::new("engine.solves");
 /// Lineages the planner routed to knowledge compilation.
 pub static PLANNER_KC_ROUTES: Counter = Counter::new("planner.kc_routes");
-/// KC-routed lineages wide enough for the top-down compiler (a subset of
+/// KC-routed lineages wide enough (over 48 minimized variables) to compile
+/// against the planner's cross-lineage component cache (a subset of
 /// `planner.kc_routes`).
 pub static PLANNER_KC_TOPDOWN_ROUTES: Counter = Counter::new("planner.kc_topdown_routes");
 /// Lineages the planner routed to the read-once fast path.
@@ -112,7 +113,7 @@ pub static NUM_BIGNUM_FALLBACKS: Counter = Counter::new("num.bignum_fallbacks");
 /// instead of schoolbook multiplication.
 pub static NUM_NTT_CONVOLUTIONS: Counter = Counter::new("num.ntt_convolutions");
 /// Cross-lineage component-cache probes answered with a stored d-DNNF
-/// fragment (the top-down compiler skipped compiling that component).
+/// fragment (the compiler skipped compiling that component).
 pub static KC_COMP_CACHE_HITS: Counter = Counter::new("kc.comp_cache_hits");
 /// Cross-lineage component-cache probes that found no entry (the component
 /// was compiled and, when small enough, stored).
