@@ -1,6 +1,6 @@
 # Convenience targets mirroring .github/workflows/ci.yml for offline use.
 
-.PHONY: check fmt build test clippy doc quickstart bench-smoke bench-cache bench-exact bench-alg1 bench-kc bench-serve bench-net bench-measures bench-rank bench
+.PHONY: check fmt build test clippy doc quickstart bench-smoke bench-batch bench-cache bench-exact bench-alg1 bench-kc bench-serve bench-net bench-measures bench-rank bench
 
 check: fmt build test clippy doc quickstart
 
@@ -26,6 +26,11 @@ quickstart:
 # in CHANGES.md.
 bench-smoke:
 	cargo bench --bench alg1 -p shapdb_bench
+
+# Batch executor on the replay corpus: structural dedup vs a sequential
+# uncached `Planner::solve` of every lineage, and 1 vs N worker threads.
+bench-batch:
+	cargo bench --bench batch -p shapdb_bench
 
 # Cross-query result cache: cold vs warm replay of the 521-lineage workload.
 bench-cache:

@@ -4,16 +4,17 @@
 //! (every answer of every TPC-H-lite and IMDB-lite query, hundreds of
 //! lineages with heavily duplicated structure):
 //!
-//! * structural lineage dedup on vs off (the interning win), and
+//! * structural lineage dedup vs a sequential `Planner::solve` of every
+//!   lineage with no cache (the interning win), and
 //! * 1 worker thread vs N (the fan-out win — only visible on multi-core
 //!   hosts; on a single-core container the N-thread numbers match the
 //!   1-thread ones).
 //!
-//! The numbers are recorded in CHANGES.md per PR.
+//! Run with `make bench-batch`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use shapdb_circuit::Dnf;
-use shapdb_core::engine::{BatchExecutor, EngineKind, Planner, PlannerConfig};
+use shapdb_core::engine::{BatchExecutor, EngineKind, LineageTask, Planner, PlannerConfig};
 use shapdb_core::exact::ExactConfig;
 use shapdb_kc::Budget;
 use std::time::Duration;
@@ -42,25 +43,30 @@ fn bench_batch_dedup(c: &mut Criterion) {
     let (lineages, n_endo) = workload_lineages();
     let mut group = c.benchmark_group("batch_dedup");
     group.sample_size(10);
-    let configs: [(&str, bool); 2] = [("dedup_off", false), ("dedup_on", true)];
-    for (label, dedup) in configs {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &dedup, |b, &dedup| {
-            let mut executor = BatchExecutor::new(planner()).with_threads(1);
-            if !dedup {
-                executor = executor.without_dedup();
+    // Without dedup every lineage is its own solve: a sequential loop of
+    // uncached `Planner::solve` calls is exactly that work.
+    group.bench_function("sequential", |b| {
+        let planner = planner();
+        b.iter(|| {
+            for l in &lineages {
+                assert!(planner.solve(&LineageTask::new(l, n_endo)).is_ok());
             }
-            b.iter(|| {
-                let report = executor.run(
-                    &lineages,
-                    n_endo,
-                    &Budget::unlimited(),
-                    &ExactConfig::default(),
-                );
-                assert!(report.items.iter().all(|i| i.result.is_ok()));
-                report.dedup.distinct
-            })
-        });
-    }
+            lineages.len()
+        })
+    });
+    group.bench_function("dedup_on", |b| {
+        let executor = BatchExecutor::new(planner()).with_threads(1);
+        b.iter(|| {
+            let report = executor.run(
+                &lineages,
+                n_endo,
+                &Budget::unlimited(),
+                &ExactConfig::default(),
+            );
+            assert!(report.items.iter().all(|i| i.result.is_ok()));
+            report.dedup.distinct
+        })
+    });
     group.finish();
 
     let report = BatchExecutor::new(planner()).with_threads(1).run(
@@ -84,7 +90,10 @@ fn bench_batch_threads(c: &mut Criterion) {
         .unwrap_or(1);
     let mut group = c.benchmark_group("batch_threads");
     group.sample_size(10);
-    for threads in [1usize, 2, cores.max(2)] {
+    let mut counts = vec![1usize, 2, cores];
+    counts.sort_unstable();
+    counts.dedup();
+    for threads in counts {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{threads}threads")),
             &threads,

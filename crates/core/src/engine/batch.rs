@@ -14,9 +14,12 @@
 //!
 //! The pipeline itself — fingerprint → group → plan → solve → translate —
 //! lives in [`super::stages`] as pool-agnostic free functions; this module
-//! only owns the one-shot orchestration (scoped fan-out, fail-fast, the
-//! per-run report). The resident [`super::ShapleyService`] runs the same
-//! stage functions from its long-lived workers.
+//! only owns the one-shot orchestration (scoped fan-out, fail-fast,
+//! translation, the per-run report). [`BatchExecutor::run`] (one measure)
+//! and [`BatchExecutor::run_measures`] (several) are thin wrappers over one
+//! private sweep: a single-measure batch is a sweep over one measure, so
+//! both share one structure-solve path — the same one the top-k executor
+//! and the resident [`super::ShapleyService`] run.
 //!
 //! Exact values translate *exactly*: batch output is identical, rational
 //! for rational, to solving every task separately. Two layers of reuse
@@ -48,51 +51,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use super::stages;
-
-/// Batch execution knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchConfig {
-    /// Worker threads (0 = all available cores).
-    pub threads: usize,
-    /// Intern structurally identical lineages (on by default; turn off to
-    /// measure the dedup win). Turning dedup off also bypasses the
-    /// cross-query result cache: without fingerprints there are no cache
-    /// keys.
-    pub dedup: bool,
-    /// Abort the batch on the first failed task: remaining tasks inherit
-    /// that error instead of burning their own per-lineage timeouts. Off by
-    /// default (every task gets its own verdict); callers that propagate
-    /// the first error anyway (the facade's exact `explain`) turn it on.
-    pub fail_fast: bool,
-    /// The attribution every task of the batch computes
-    /// ([`Measure::Shapley`] by default). For several measures in one pass
-    /// over the same lineages, use [`BatchExecutor::run_measures`] — it
-    /// shares one compiled structure across all of them.
-    pub measure: Measure,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            threads: 0,
-            dedup: true,
-            fail_fast: false,
-            measure: Measure::Shapley,
-        }
-    }
-}
-
-impl BatchConfig {
-    /// Resolved worker count.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            return self.threads;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-}
 
 /// One task's outcome within a batch.
 #[derive(Clone, Debug)]
@@ -133,57 +91,50 @@ pub struct BatchReport {
     pub total_time: Duration,
 }
 
-impl BatchReport {
-    /// Drops the bookkeeping, keeping per-task results in order.
-    pub fn into_results(self) -> Vec<Result<EngineResult, EngineError>> {
-        self.items.into_iter().map(|i| i.result).collect()
-    }
-}
-
 /// Executes batches of lineage tasks through a [`Planner`].
 #[derive(Clone, Debug, Default)]
 pub struct BatchExecutor {
     planner: Planner,
-    cfg: BatchConfig,
+    /// Worker threads (0 = all available cores).
+    threads: usize,
+    /// Abort the batch on the first failed structure: remaining tasks
+    /// inherit that error instead of burning their own per-lineage
+    /// timeouts. Off by default (every task gets its own verdict).
+    fail_fast: bool,
+    /// The attribution every task of a [`BatchExecutor::run`] computes.
+    measure: Measure,
 }
 
 impl BatchExecutor {
-    /// An executor over the given planner, with default batch knobs.
+    /// An executor over the given planner: all cores, no fail-fast, the
+    /// Shapley value.
     pub fn new(planner: Planner) -> BatchExecutor {
         BatchExecutor {
             planner,
-            cfg: BatchConfig::default(),
+            ..Default::default()
         }
-    }
-
-    /// Sets the batch knobs.
-    pub fn with_config(mut self, cfg: BatchConfig) -> Self {
-        self.cfg = cfg;
-        self
     }
 
     /// Sets the worker-thread count (0 = all cores).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = threads;
+        self.threads = threads;
         self
     }
 
-    /// Disables structural dedup.
-    pub fn without_dedup(mut self) -> Self {
-        self.cfg.dedup = false;
-        self
-    }
-
-    /// Aborts the whole batch on the first failed task (see
-    /// [`BatchConfig::fail_fast`]).
+    /// Aborts the whole batch on the first failed structure: every task not
+    /// yet solved inherits that error. Callers that propagate the first
+    /// error anyway (the facade's exact `explain`) turn it on.
     pub fn with_fail_fast(mut self) -> Self {
-        self.cfg.fail_fast = true;
+        self.fail_fast = true;
         self
     }
 
-    /// Sets the attribution measure every task of the batch computes.
+    /// Sets the attribution measure every task of [`BatchExecutor::run`]
+    /// computes ([`Measure::Shapley`] by default). For several measures in
+    /// one pass over the same lineages, use [`BatchExecutor::run_measures`]
+    /// — it shares one compiled structure across all of them.
     pub fn with_measure(mut self, measure: Measure) -> Self {
-        self.cfg.measure = measure;
+        self.measure = measure;
         self
     }
 
@@ -193,9 +144,8 @@ impl BatchExecutor {
     }
 
     /// Runs the batch: one lineage per output tuple, shared `n_endo` and
-    /// budgets (per-lineage deadlines come from the planner's timeout).
-    /// Orchestrates the shared pipeline stages over a one-shot scoped
-    /// worker pool.
+    /// budgets (per-lineage deadlines come from the planner's timeout),
+    /// under the executor's measure. A sweep over that one measure.
     pub fn run(
         &self,
         lineages: &[Dnf],
@@ -203,180 +153,7 @@ impl BatchExecutor {
         budget: &Budget,
         exact: &ExactConfig,
     ) -> BatchReport {
-        let start = Instant::now();
-        let num_before = CounterSnapshot::take();
-        let tasks = lineages.len();
-        let pool = self.cfg.effective_threads();
-        stages::record_measure_requests(self.cfg.measure, tasks as u64);
-        // A batch-lived component cache when the planner does not already
-        // carry a resident one: this run's wide compiles share
-        // isomorphic residual components across lineages either way.
-        let planner = self.run_planner();
-
-        // Stages 1–3: canonicalize (in parallel), group, plan.
-        let fingerprints = stages::fingerprint_lineages(pool, lineages, self.cfg.dedup);
-        let grouping = stages::group_by_structure(&fingerprints);
-        let plans = stages::plan_groups(&planner, &grouping, &fingerprints, self.cfg.measure);
-        let distinct = grouping.distinct();
-
-        // Stage 4: fan the distinct structures out across scoped workers.
-        // Fail-fast short-circuits the remaining structures onto the first
-        // error instead of running them.
-        let counters = stages::SolveCounters::new();
-        let fail_fast = self.cfg.fail_fast;
-        let threads = pool.min(distinct).max(1);
-        let abort: Mutex<Option<EngineError>> = Mutex::new(None);
-        let group_result: Vec<Result<EngineResult, EngineError>> =
-            stages::parallel_map(threads, distinct, |g| {
-                let aborted = abort.lock().expect("abort flag").clone();
-                let result = match aborted {
-                    Some(e) => Err(e),
-                    None => {
-                        let i = grouping.first_of_group[g];
-                        stages::solve_group(
-                            &planner,
-                            fingerprints[i].as_ref(),
-                            plans[g],
-                            &lineages[i],
-                            n_endo,
-                            budget,
-                            exact,
-                            i as u64,
-                            grouping.members_of[g].len(),
-                            self.cfg.measure,
-                            &counters,
-                        )
-                    }
-                };
-                if fail_fast {
-                    if let Err(e) = &result {
-                        abort.lock().expect("abort flag").get_or_insert(e.clone());
-                    }
-                }
-                result
-            });
-
-        // Stage 5: assemble per-task outcomes — group results translate
-        // back through each member's renaming.
-        let mut items: Vec<BatchItem> = Vec::with_capacity(tasks);
-        for (i, (&g, fp)) in grouping.group_of.iter().zip(&fingerprints).enumerate() {
-            let result = group_result[g].clone();
-            let result = match fp {
-                Some(fp) => result.map(|r| translate_result(r, fp)),
-                None => result,
-            };
-            items.push(BatchItem {
-                index: i,
-                result,
-                dedup_hit: grouping.first_of_group[g] != i,
-            });
-        }
-
-        let dedup = DedupStats {
-            tasks,
-            distinct,
-            reused: tasks - distinct,
-        };
-        BATCH_TASKS.add(tasks as u64);
-        BATCH_DISTINCT.add(distinct as u64);
-        BATCH_DEDUP_HITS.add(dedup.hits() as u64);
-
-        let after = CounterSnapshot::take();
-        BatchReport {
-            items,
-            dedup,
-            engine_runs: counters.engine_runs(),
-            cache: counters.cache_stats(),
-            threads,
-            num: NumRunStats::delta(&after, &num_before),
-            kc_cache: KcCacheRunStats::delta(&after, &num_before),
-            total_time: start.elapsed(),
-        }
-    }
-
-    /// Runs the batch over a lineage **iterator** in bounded chunks: at most
-    /// `chunk` raw lineages (plus their per-chunk results) are materialized
-    /// at once, so peak provenance memory is governed by the chunk size
-    /// while the report still covers every task in submission order.
-    /// Pairs with [`shapdb_query`]'s streaming extraction, whose bounded
-    /// channel feeds lineages one answer at a time.
-    ///
-    /// Structural dedup is per-chunk (the reported `dedup.distinct` sums
-    /// chunk-local counts); **cross-chunk** reuse flows through the
-    /// planner's cross-query result cache when one is attached, and
-    /// through the component cache either way — one shared run planner
-    /// serves every chunk. With `fail_fast`, the first failed chunk aborts
-    /// the rest: unconsumed lineages are drained into error items (each
-    /// counted as its own structure) without being solved.
-    pub fn run_streamed(
-        &self,
-        lineages: impl IntoIterator<Item = Dnf>,
-        chunk: usize,
-        n_endo: usize,
-        budget: &Budget,
-        exact: &ExactConfig,
-    ) -> BatchReport {
-        let start = Instant::now();
-        let num_before = CounterSnapshot::take();
-        let chunk = chunk.max(1);
-        let shared = BatchExecutor {
-            planner: self.run_planner(),
-            cfg: self.cfg,
-        };
-        let mut items: Vec<BatchItem> = Vec::new();
-        let mut dedup = DedupStats::default();
-        let mut engine_runs = 0usize;
-        let mut cache = CacheRunStats::default();
-        let mut threads = 1usize;
-        let mut it = lineages.into_iter();
-        let mut buf: Vec<Dnf> = Vec::with_capacity(chunk);
-        loop {
-            buf.clear();
-            buf.extend(it.by_ref().take(chunk));
-            if buf.is_empty() {
-                break;
-            }
-            let offset = items.len();
-            let rep = shared.run(&buf, n_endo, budget, exact);
-            for mut item in rep.items {
-                item.index += offset;
-                items.push(item);
-            }
-            dedup.tasks += rep.dedup.tasks;
-            dedup.distinct += rep.dedup.distinct;
-            dedup.reused += rep.dedup.reused;
-            engine_runs += rep.engine_runs;
-            cache.hits += rep.cache.hits;
-            cache.misses += rep.cache.misses;
-            cache.bypasses += rep.cache.bypasses;
-            threads = threads.max(rep.threads);
-            if self.cfg.fail_fast {
-                if let Some(e) = items.iter().find_map(|i| i.result.clone().err()) {
-                    for _ in it.by_ref() {
-                        let index = items.len();
-                        items.push(BatchItem {
-                            index,
-                            result: Err(e.clone()),
-                            dedup_hit: false,
-                        });
-                        dedup.tasks += 1;
-                        dedup.distinct += 1;
-                    }
-                    break;
-                }
-            }
-        }
-        let after = CounterSnapshot::take();
-        BatchReport {
-            items,
-            dedup,
-            engine_runs,
-            cache,
-            threads,
-            num: NumRunStats::delta(&after, &num_before),
-            kc_cache: KcCacheRunStats::delta(&after, &num_before),
-            total_time: start.elapsed(),
-        }
+        self.sweep(lineages, n_endo, budget, exact, &[self.measure])
     }
 
     /// Runs the batch for **several measures in one pass**: each lineage is
@@ -398,44 +175,103 @@ impl BatchExecutor {
         exact: &ExactConfig,
         measures: &[Measure],
     ) -> MeasureSweepReport {
+        let report = self.sweep(lineages, n_endo, budget, exact, measures);
+        let mut items = report.items.into_iter();
+        let results = (0..report.dedup.tasks)
+            .map(|_| {
+                items
+                    .by_ref()
+                    .take(measures.len())
+                    .map(|item| item.result)
+                    .collect()
+            })
+            .collect();
+        MeasureSweepReport {
+            results,
+            measures: measures.to_vec(),
+            dedup: report.dedup,
+            engine_runs: report.engine_runs,
+            cache: report.cache,
+            threads: report.threads,
+            num: report.num,
+            kc_cache: report.kc_cache,
+            total_time: report.total_time,
+        }
+    }
+
+    /// The one batch path behind [`BatchExecutor::run`] and
+    /// [`BatchExecutor::run_measures`]: fingerprint, group and plan, fan
+    /// the distinct structures out across scoped workers (fail-fast
+    /// short-circuits the rest onto the first error), and translate every
+    /// group result back onto each member's facts. The report's items are
+    /// task-major: each task contributes one item per measure, in
+    /// `measures` order, all carrying the task's index.
+    fn sweep(
+        &self,
+        lineages: &[Dnf],
+        n_endo: usize,
+        budget: &Budget,
+        exact: &ExactConfig,
+        measures: &[Measure],
+    ) -> BatchReport {
         let start = Instant::now();
         let num_before = CounterSnapshot::take();
         let tasks = lineages.len();
-        let pool = self.cfg.effective_threads();
+        let pool = self.effective_threads();
+        for &m in measures {
+            stages::record_measure_requests(m, tasks as u64);
+        }
+        // A batch-lived component cache when the planner does not already
+        // carry a resident one: this run's wide compiles share
+        // isomorphic residual components across lineages either way.
         let planner = self.run_planner();
 
-        let fingerprints = stages::fingerprint_lineages(pool, lineages, self.cfg.dedup);
+        // Stages 1–3: canonicalize (in parallel), group, plan.
+        let fingerprints = stages::fingerprint_lineages(pool, lineages);
         let grouping = stages::group_by_structure(&fingerprints);
+        let plans = stages::plan_groups(&planner, &grouping, &fingerprints, measures);
         let distinct = grouping.distinct();
 
+        // Stage 4: fan the distinct structures out across scoped workers.
         let counters = stages::SolveCounters::new();
         let threads = pool.min(distinct).max(1);
+        let abort: Mutex<Option<EngineError>> = Mutex::new(None);
         let group_results: Vec<Vec<Result<EngineResult, EngineError>>> =
             stages::parallel_map(threads, distinct, |g| {
+                if let Some(e) = abort.lock().expect("abort flag").clone() {
+                    return vec![Err(e); measures.len()];
+                }
                 let i = grouping.first_of_group[g];
-                stages::solve_group_multi(
+                let results = stages::solve_group(
                     &planner,
-                    fingerprints[i].as_ref(),
-                    &lineages[i],
+                    &fingerprints[i],
+                    &plans[g],
                     n_endo,
                     budget,
                     exact,
-                    measures,
+                    i as u64,
+                    grouping.members_of[g].len(),
                     &counters,
-                )
+                );
+                if self.fail_fast {
+                    if let Some(Err(e)) = results.iter().find(|r| r.is_err()) {
+                        abort.lock().expect("abort flag").get_or_insert(e.clone());
+                    }
+                }
+                results
             });
 
-        let mut results: Vec<Vec<Result<EngineResult, EngineError>>> = Vec::with_capacity(tasks);
-        for (&g, fp) in grouping.group_of.iter().zip(&fingerprints) {
-            results.push(
-                group_results[g]
-                    .iter()
-                    .map(|r| match (r.clone(), fp) {
-                        (Ok(v), Some(fp)) => Ok(translate_result(v, fp)),
-                        (r, _) => r,
-                    })
-                    .collect(),
-            );
+        // Stage 5: group results translate back through each member's
+        // renaming.
+        let mut items: Vec<BatchItem> = Vec::with_capacity(tasks * measures.len());
+        for (i, (&g, fp)) in grouping.group_of.iter().zip(&fingerprints).enumerate() {
+            for r in &group_results[g] {
+                items.push(BatchItem {
+                    index: i,
+                    result: r.clone().map(|v| translate_result(v, fp)),
+                    dedup_hit: grouping.first_of_group[g] != i,
+                });
+            }
         }
 
         let dedup = DedupStats {
@@ -448,9 +284,8 @@ impl BatchExecutor {
         BATCH_DEDUP_HITS.add(dedup.hits() as u64);
 
         let after = CounterSnapshot::take();
-        MeasureSweepReport {
-            results,
-            measures: measures.to_vec(),
+        BatchReport {
+            items,
             dedup,
             engine_runs: counters.engine_runs(),
             cache: counters.cache_stats(),
@@ -459,6 +294,16 @@ impl BatchExecutor {
             kc_cache: KcCacheRunStats::delta(&after, &num_before),
             total_time: start.elapsed(),
         }
+    }
+
+    /// Resolved worker count.
+    fn effective_threads(&self) -> usize {
+        if self.threads > 0 {
+            return self.threads;
+        }
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     }
 
     /// The planner a run solves through: the executor's own when it
@@ -603,8 +448,8 @@ mod tests {
     fn unminimized_lineages_agree_between_batch_and_sequential() {
         // {0,1},{1,2},{0,2},{0,1,3}: the last conjunct is absorbed and var 3
         // is a null player. Every engine minimizes first, so the KC route
-        // reports the same fact set with and without dedup, and batch
-        // equals per-task solving even on non-minimized inputs.
+        // reports the same fact set through the deduplicating batch as
+        // through a per-task solve, even on non-minimized inputs.
         let lineages = vec![
             dnf(&[&[0, 1], &[1, 2], &[0, 2], &[0, 1, 3]]),
             dnf(&[&[4, 5], &[5, 6], &[4, 6], &[4, 5, 7]]),
@@ -615,36 +460,16 @@ mod tests {
             .map(|l| exact_pairs(&planner.solve(&LineageTask::new(l, 8)).unwrap()))
             .collect();
         assert_eq!(sequential[0].len(), 3, "absorbed var 3 is omitted");
-        for (exec, label) in [
-            (BatchExecutor::new(planner.clone()), "dedup"),
-            (
-                BatchExecutor::new(planner.clone()).without_dedup(),
-                "no dedup",
-            ),
-        ] {
-            let report = exec.run(&lineages, 8, &Budget::unlimited(), &ExactConfig::default());
-            for (i, item) in report.items.iter().enumerate() {
-                let got = exact_pairs(item.result.as_ref().unwrap());
-                assert_eq!(got, sequential[i], "{label}, task {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn dedup_can_be_disabled() {
-        let lineages = vec![dnf(&[&[0, 1]]), dnf(&[&[2, 3]])];
-        let exec = BatchExecutor::new(Planner::new(PlannerConfig::default())).without_dedup();
-        let report = exec.run(&lineages, 4, &Budget::unlimited(), &ExactConfig::default());
-        assert_eq!(
-            report.dedup,
-            DedupStats {
-                tasks: 2,
-                distinct: 2,
-                reused: 0
-            }
+        let report = BatchExecutor::new(planner).run(
+            &lineages,
+            8,
+            &Budget::unlimited(),
+            &ExactConfig::default(),
         );
-        assert_eq!(report.dedup.hit_rate(), 0.0);
-        assert!(report.items.iter().all(|i| !i.dedup_hit));
+        for (i, item) in report.items.iter().enumerate() {
+            let got = exact_pairs(item.result.as_ref().unwrap());
+            assert_eq!(got, sequential[i], "task {i}");
+        }
     }
 
     #[test]
@@ -1034,58 +859,54 @@ mod tests {
     }
 
     #[test]
-    fn streamed_chunks_match_the_one_shot_batch() {
-        use crate::engine::ShapleyCache;
-        use std::sync::Arc;
-        // Duplicate structures straddle chunk boundaries: chunked runs
-        // must produce the same per-task values, and with a result cache
-        // attached cross-chunk structural reuse still solves each distinct
-        // structure exactly once.
+    fn one_measure_sweep_equals_run() {
+        // A single-measure batch is a sweep over one measure: for every
+        // task, `run_measures(&[m])` must return exactly what `run` under
+        // `m` returns — the same exact rationals on the default planner,
+        // the same bit-identical estimates under a forced sampling engine
+        // (which only holds if the sweep spends the dedup group's total
+        // sample budget under the representative's seed salt) — and the
+        // same per-run accounting. Three isomorphic matchings form a dedup
+        // group of 3.
         let lineages = vec![
             dnf(&[&[0, 10], &[1, 11]]),
-            dnf(&[&[4, 5], &[5, 6], &[4, 6]]),
-            dnf(&[&[2, 20], &[3, 21]]), // iso to task 0, next chunk
-            dnf(&[&[7]]),
-            dnf(&[&[8, 9], &[9, 10], &[8, 10]]), // iso to task 1, third chunk
+            dnf(&[&[2, 20], &[3, 21]]),
+            dnf(&[&[4, 31], &[5, 30]]),
+            dnf(&[&[6, 7], &[7, 8], &[6, 8]]),
+            dnf(&[&[9]]),
         ];
-        let one_shot = BatchExecutor::new(
-            Planner::new(PlannerConfig::default()).with_cache(Arc::new(ShapleyCache::new())),
-        )
-        .with_threads(1)
-        .run(&lineages, 30, &Budget::unlimited(), &ExactConfig::default());
-        let exec = BatchExecutor::new(
-            Planner::new(PlannerConfig::default()).with_cache(Arc::new(ShapleyCache::new())),
-        )
-        .with_threads(1);
-        let streamed = exec.run_streamed(
-            lineages.iter().cloned(),
-            2,
-            30,
-            &Budget::unlimited(),
-            &ExactConfig::default(),
-        );
-        assert_eq!(streamed.items.len(), lineages.len());
-        for (a, b) in one_shot.items.iter().zip(&streamed.items) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(
-                exact_pairs(a.result.as_ref().unwrap()),
-                exact_pairs(b.result.as_ref().unwrap()),
-                "task {}",
-                a.index
-            );
+        let forced_mc = PlannerConfig {
+            force: Some(EngineKind::MonteCarlo),
+            ..Default::default()
+        };
+        let cases: [(PlannerConfig, &[Measure]); 2] = [
+            (PlannerConfig::default(), &Measure::ALL),
+            (forced_mc, &[Measure::Shapley]),
+        ];
+        for (cfg, measures) in cases {
+            for &m in measures {
+                let exec = BatchExecutor::new(Planner::new(cfg))
+                    .with_threads(1)
+                    .with_measure(m);
+                let budget = Budget::unlimited();
+                let exact = ExactConfig::default();
+                let run = exec.run(&lineages, 40, &budget, &exact);
+                let sweep = exec.run_measures(&lineages, 40, &budget, &exact, &[m]);
+                assert_eq!(run.dedup.distinct, 3, "{m}");
+                assert_eq!(sweep.dedup, run.dedup, "{m}");
+                assert_eq!(sweep.engine_runs, run.engine_runs, "{m}");
+                assert_eq!(sweep.cache, run.cache, "{m}");
+                for (i, (item, row)) in run.items.iter().zip(&sweep.results).enumerate() {
+                    let (a, b) = (item.result.as_ref().unwrap(), row[0].as_ref().unwrap());
+                    assert_eq!(
+                        (a.engine, a.measure),
+                        (b.engine, b.measure),
+                        "{m}, task {i}"
+                    );
+                    assert_eq!(a.values, b.values, "{m}, task {i}");
+                }
+            }
         }
-        // 3 distinct structures overall: the chunked run still invokes an
-        // engine only 3 times — the repeats across chunks hit the cache.
-        assert_eq!(streamed.engine_runs, 3);
-        assert_eq!(
-            streamed.cache.hits, 2,
-            "tasks 2 and 4 reuse earlier chunks' structures via the cache"
-        );
-        assert_eq!(streamed.dedup.tasks, 5);
-        // Chunk-local dedup: task 2 deduped against task 3's chunk? No —
-        // chunks are [0,1], [2,3], [4]: no intra-chunk repeats, so every
-        // chunk-local count is its own structure.
-        assert_eq!(streamed.dedup.distinct, 5);
     }
 
     #[test]

@@ -27,10 +27,11 @@
 //!
 //! The dedup-then-fan-out pipeline itself (fingerprint → group → plan →
 //! solve → translate) lives in the private `stages` module as
-//! pool-agnostic free functions — the batch executor, sequential
-//! [`Planner::solve`], and the service workers all run the *same* stage
-//! code, so batch ≡ sequential ≡ service holds bit-identically on the
-//! exact paths by construction.
+//! pool-agnostic free functions — the batch executor, the top-k executor,
+//! sequential [`Planner::solve`], and the service workers all run the
+//! *same* stage code, down to one structure-solve function that takes a
+//! plan per measure, so batch ≡ sequential ≡ service holds bit-identically
+//! on the exact paths by construction.
 //!
 //! The classic entry points (`pipeline::analyze_lineage_auto`,
 //! `hybrid_shapley_dnf`, the `shapdb` facade, the CLI) are thin policies
@@ -45,7 +46,7 @@ mod service;
 pub(crate) mod stages;
 mod topk;
 
-pub use batch::{BatchConfig, BatchExecutor, BatchItem, BatchReport, MeasureSweepReport};
+pub use batch::{BatchExecutor, BatchItem, BatchReport, MeasureSweepReport};
 pub use cache::{CacheKey, CacheStats, ShapleyCache};
 pub use engines::{
     KcEngine, KernelShapEngine, MonteCarloEngine, NaiveEngine, ProxyEngine, ReadOnceEngine,

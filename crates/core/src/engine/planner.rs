@@ -31,8 +31,8 @@ use crate::exact::ExactConfig;
 use shapdb_circuit::{factor_minimized, Dnf, Fingerprint, ReadOnce};
 use shapdb_kc::{Budget, ComponentCache};
 use shapdb_metrics::counters::{
-    PLANNER_HIERARCHICAL_DISAGREEMENTS, PLANNER_KC_ROUTES, PLANNER_KC_TOPDOWN_ROUTES,
-    PLANNER_NAIVE_ROUTES, PLANNER_READ_ONCE_ROUTES,
+    ENGINE_SOLVES, PLANNER_HIERARCHICAL_DISAGREEMENTS, PLANNER_KC_ROUTES,
+    PLANNER_KC_TOPDOWN_ROUTES, PLANNER_NAIVE_ROUTES, PLANNER_READ_ONCE_ROUTES,
 };
 use shapdb_query::{is_hierarchical, is_self_join_free, Ucq};
 use std::sync::Arc;
@@ -416,104 +416,38 @@ impl Planner {
         super::stages::solve_one(self, task, &super::stages::SolveCounters::new())
     }
 
-    /// Solves the canonical structure behind `fp` under an already-made
-    /// `plan` (callers plan once — re-planning here would double the route
-    /// counters), consulting the cache when one is attached. The returned
-    /// result is in **canonical space** — callers translate it through
-    /// their own fingerprint. The batch executor and the service call this
-    /// once per distinct structure; `sample_scale` carries the dedup
-    /// group's size so a sampling solve spends the group's total budget.
+    /// Solves the canonical structure behind `fp` under already-made
+    /// `plans`, one per requested measure (callers plan once — re-planning
+    /// here would double the route counters). Each plan consults the cache
+    /// first when one is attached; only on a miss is the canonical DNF
+    /// rebuilt, and then every missed KC plan shares **one** compiled
+    /// structure while the other plans run their normal planned path
+    /// (read-once reuses the fingerprint's tree, so nothing re-factors).
+    /// Results come back in `plans` order, in **canonical space** — callers
+    /// translate them through their own fingerprint. `seed_salt` and
+    /// `sample_scale` reach every solve, so a sampling plan (or fallback)
+    /// spends the dedup group's total budget.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn solve_structure(
         &self,
         fp: &Fingerprint,
-        plan: Plan,
+        plans: &[Plan],
         n_endo: usize,
         budget: &Budget,
         exact: &ExactConfig,
         seed_salt: u64,
         sample_scale: usize,
-    ) -> (Result<EngineResult, EngineError>, CacheOutcome) {
-        // Rebuilding the canonical DNF is deferred past the cache lookup:
-        // on the service/batch hot path most calls are hits, which need
-        // only the (shared) key — no per-call allocation at all.
-        let run = |outcome: CacheOutcome| {
-            let canonical = fp.canonical_dnf();
-            let ctask = LineageTask {
-                lineage: &canonical,
-                n_endo,
-                budget: *budget,
-                exact: *exact,
-                minimized: true,
-                seed_salt,
-                sample_scale: sample_scale.max(1),
-                measure: plan.measure,
-            };
-            (
-                self.solve_planned(&ctask, plan, fp.tree(), Duration::ZERO),
-                outcome,
-            )
-        };
-        let Some(cache) = self.cache.as_deref() else {
-            return run(CacheOutcome::Disabled);
-        };
-        if !plan.engine.is_exact() || cache.is_disabled() {
-            // Inexact plans are never cached; a zero-capacity cache can
-            // store nothing — either way this solve skips the cache, and
-            // must be reported as a bypass, not a miss.
-            cache.record_bypass();
-            return run(CacheOutcome::Bypass);
-        }
-        let key = CacheKey {
-            structure: fp.shared_key(),
-            n_endo,
-            config: self.cache_digest(budget, plan.measure),
-        };
-        if let Some(mut hit) = cache.get(&key) {
-            // The stored timings/compiler counters describe the *original*
-            // solve; serving them verbatim would charge phantom engine time
-            // to a microsecond lookup. Structural facts (sizes, fact count)
-            // stay.
-            hit.prep_time = Duration::ZERO;
-            hit.solve_time = Duration::ZERO;
-            hit.compile_stats = Default::default();
-            return (Ok(hit), CacheOutcome::Hit);
-        }
-        let (solved, _) = run(CacheOutcome::Miss);
-        if let Ok(r) = &solved {
-            // Only exact results are stored: they are a pure function of
-            // (structure, n_endo). A fallback may have produced an inexact
-            // ranking here — never cache those.
-            if r.values.is_exact() {
-                cache.insert(key, r.clone());
-            }
-        }
-        (solved, CacheOutcome::Miss)
-    }
-
-    /// Solves the canonical structure behind `fp` for **several measures at
-    /// once**, compiling (or reusing the fingerprint's factorization) at
-    /// most once: per-measure cache lookups first, then one shared
-    /// [`CompiledLineage`] answers every missed measure the KC route
-    /// admits, the fingerprint's read-once tree answers the rest without
-    /// re-factoring, and responsibility runs its DNF-level search. Returned
-    /// results are in canonical space, in `measures` order.
-    pub(crate) fn solve_structure_multi(
-        &self,
-        fp: &Fingerprint,
-        n_endo: usize,
-        budget: &Budget,
-        exact: &ExactConfig,
-        measures: &[Measure],
     ) -> Vec<(Result<EngineResult, EngineError>, CacheOutcome)> {
         let mut slots: Vec<Option<(Result<EngineResult, EngineError>, CacheOutcome)>> =
-            (0..measures.len()).map(|_| None).collect();
-        let mut pending: Vec<(usize, Plan, CacheOutcome, Option<CacheKey>)> = Vec::new();
-        for (i, &measure) in measures.iter().enumerate() {
-            let plan = self.plan_fp(fp, measure);
+            (0..plans.len()).map(|_| None).collect();
+        let mut pending: Vec<(usize, CacheOutcome, Option<CacheKey>)> = Vec::new();
+        for (i, plan) in plans.iter().enumerate() {
             let (outcome, key) = match self.cache.as_deref() {
                 None => (CacheOutcome::Disabled, None),
                 Some(cache) if !plan.engine.is_exact() || cache.is_disabled() => {
+                    // Inexact plans are never cached; a zero-capacity cache
+                    // can store nothing — either way this solve skips the
+                    // cache, and must be reported as a bypass, not a miss.
                     cache.record_bypass();
                     (CacheOutcome::Bypass, None)
                 }
@@ -521,9 +455,13 @@ impl Planner {
                     let key = CacheKey {
                         structure: fp.shared_key(),
                         n_endo,
-                        config: self.cache_digest(budget, measure),
+                        config: self.cache_digest(budget, plan.measure),
                     };
                     if let Some(mut hit) = cache.get(&key) {
+                        // The stored timings/compiler counters describe the
+                        // *original* solve; serving them verbatim would
+                        // charge phantom engine time to a microsecond
+                        // lookup. Structural facts (sizes, fact count) stay.
                         hit.prep_time = Duration::ZERO;
                         hit.solve_time = Duration::ZERO;
                         hit.compile_stats = Default::default();
@@ -533,59 +471,36 @@ impl Planner {
                     (CacheOutcome::Miss, Some(key))
                 }
             };
-            pending.push((i, plan, outcome, key));
+            pending.push((i, outcome, key));
         }
         if !pending.is_empty() {
+            // Rebuilding the canonical DNF is deferred past the cache
+            // lookups: on the service/batch hot path most calls are hits,
+            // which need only the (shared) key — no per-call allocation.
             let canonical = fp.canonical_dnf();
-            // The one compile a whole group of measures shares.
             let mut compiled: Option<Result<CompiledLineage, EngineError>> = None;
-            for (i, plan, outcome, key) in pending {
-                let measure = measures[i];
+            for (i, outcome, key) in pending {
+                let plan = plans[i];
                 let ctask = LineageTask {
                     lineage: &canonical,
                     n_endo,
                     budget: *budget,
                     exact: *exact,
                     minimized: true,
-                    seed_salt: 0,
-                    sample_scale: 1,
-                    measure,
+                    seed_salt,
+                    sample_scale: sample_scale.max(1),
+                    measure: plan.measure,
                 };
-                // Measures the KC route answers from the circuit share one
-                // compilation; everything else (read-once, naive,
-                // responsibility, fallbacks) runs its normal planned path —
-                // read-once reuses the fingerprint's tree, so nothing
-                // re-factors either way.
-                let solved = if plan.engine == EngineKind::Kc && measure != Measure::Responsibility
-                {
-                    let effective = self.apply_timeout(&ctask);
-                    let comp = compiled.get_or_insert_with(|| {
-                        KcEngineImpl::compile_lineage_routed(
-                            effective.lineage,
-                            &effective.budget,
-                            self.shared_cache_for(plan, n_endo, &effective.budget),
-                        )
-                        .map_err(EngineError::Analysis)
-                    });
-                    let evaluated = match comp {
-                        Ok(c) => {
-                            KcEngineImpl::evaluate_compiled(c, n_endo, &effective.exact, measure)
-                        }
-                        Err(e) => Err(e.clone()),
+                let solved =
+                    if plan.engine == EngineKind::Kc && plan.measure != Measure::Responsibility {
+                        self.solve_compiled(&ctask, plan, &mut compiled)
+                    } else {
+                        self.solve_planned(&ctask, plan, fp.tree(), Duration::ZERO)
                     };
-                    match evaluated {
-                        Err(e) => match self.cfg.fallback {
-                            Some(fb) if fb != plan.engine && fb.supports_measure(measure) => {
-                                fb.engine().solve(&ctask)
-                            }
-                            _ => Err(e),
-                        },
-                        ok => ok,
-                    }
-                } else {
-                    self.solve_planned(&ctask, plan, fp.tree(), Duration::ZERO)
-                };
                 if let (Some(key), Ok(r)) = (key, &solved) {
+                    // Only exact results are stored: they are a pure
+                    // function of (structure, n_endo). A fallback may have
+                    // produced an inexact ranking here — never cache those.
                     if r.values.is_exact() {
                         self.cache
                             .as_deref()
@@ -600,6 +515,35 @@ impl Planner {
             .into_iter()
             .map(|s| s.expect("every slot filled"))
             .collect()
+    }
+
+    /// The KC arm of [`Planner::solve_structure`]: compiles the task's
+    /// lineage into `compiled` on first use — every later KC measure of the
+    /// same structure evaluates that one circuit — then evaluates the
+    /// task's measure on it, applying the fallback policy on failure.
+    fn solve_compiled(
+        &self,
+        task: &LineageTask,
+        plan: Plan,
+        compiled: &mut Option<Result<CompiledLineage, EngineError>>,
+    ) -> Result<EngineResult, EngineError> {
+        ENGINE_SOLVES.incr();
+        let effective = self.apply_timeout(task);
+        let comp = compiled.get_or_insert_with(|| {
+            KcEngineImpl::compile_lineage_routed(
+                effective.lineage,
+                &effective.budget,
+                self.shared_cache_for(plan, effective.n_endo, &effective.budget),
+            )
+            .map_err(EngineError::Analysis)
+        });
+        let evaluated = match comp {
+            Ok(c) => {
+                KcEngineImpl::evaluate_compiled(c, effective.n_endo, &effective.exact, task.measure)
+            }
+            Err(e) => Err(e.clone()),
+        };
+        evaluated.or_else(|e| self.fall_back(task, plan, e))
     }
 
     /// The classification + solve path without cache involvement.
@@ -638,18 +582,24 @@ impl Planner {
             ),
             (engine, _) => engine.engine().solve(&effective),
         };
-        match solved {
-            Ok(r) => Ok(r),
-            Err(e) => match self.cfg.fallback {
-                Some(fb) if fb != plan.engine && fb.supports_measure(task.measure) => {
-                    // Fallback engines run without the exact deadline — a
-                    // ranking is always better than an error here. A
-                    // fallback that cannot compute the task's measure is
-                    // skipped: an error beats a wrong-measure ranking.
-                    fb.engine().solve(task)
-                }
-                _ => Err(e),
-            },
+        solved.or_else(|e| self.fall_back(task, plan, e))
+    }
+
+    /// Applies the fallback policy to a failed planned solve. Fallback
+    /// engines run without the exact deadline — a ranking is always better
+    /// than an error here. A fallback that cannot compute the task's measure
+    /// is skipped: an error beats a wrong-measure ranking.
+    fn fall_back(
+        &self,
+        task: &LineageTask,
+        plan: Plan,
+        error: EngineError,
+    ) -> Result<EngineResult, EngineError> {
+        match self.cfg.fallback {
+            Some(fb) if fb != plan.engine && fb.supports_measure(task.measure) => {
+                fb.engine().solve(task)
+            }
+            _ => Err(error),
         }
     }
 
@@ -1202,12 +1152,18 @@ mod tests {
         })
         .with_cache(cache.clone());
         let fp = fingerprint(&wide);
-        let results = planner.solve_structure_multi(
+        let plans: Vec<Plan> = Measure::ALL
+            .iter()
+            .map(|&m| planner.plan_fp(&fp, m))
+            .collect();
+        let results = planner.solve_structure(
             &fp,
+            &plans,
             12,
             &Budget::unlimited(),
             &ExactConfig::default(),
-            &Measure::ALL,
+            0,
+            1,
         );
         assert_eq!(results.len(), 4);
         let mut compiles = 0;
@@ -1225,12 +1181,14 @@ mod tests {
         // The three circuit measures report the *same* compile (identical
         // CNF size from one Tseytin pass), and all four are now cached.
         assert_eq!(cache.stats().len, 4);
-        let again = planner.solve_structure_multi(
+        let again = planner.solve_structure(
             &fp,
+            &plans,
             12,
             &Budget::unlimited(),
             &ExactConfig::default(),
-            &Measure::ALL,
+            0,
+            1,
         );
         for (r, outcome) in &again {
             assert_eq!(*outcome, CacheOutcome::Hit);

@@ -1,16 +1,23 @@
 //! Pool-agnostic pipeline stages shared by every execution surface.
 //!
 //! The dedup-then-fan-out pipeline — fingerprint, group by canonical
-//! structure, plan each distinct structure once, solve it (through the
-//! cross-query cache when one is attached), translate the canonical values
-//! back onto each task's facts — is the same whether it runs as a one-shot
-//! scoped-thread batch ([`super::BatchExecutor`]), as a single sequential
-//! solve ([`super::Planner::solve`]), or inside a resident
+//! structure, plan each distinct structure once per requested measure,
+//! solve it (through the cross-query cache when one is attached),
+//! translate the canonical values back onto each task's facts — is the
+//! same whether it runs as a one-shot scoped-thread batch
+//! ([`super::BatchExecutor`]), as a top-k ranking
+//! ([`super::TopKExecutor`]), as a single sequential solve
+//! ([`super::Planner::solve`]), or inside a resident
 //! [`super::ShapleyService`] worker. This module holds that pipeline as
 //! free functions over a [`super::Planner`], so the surfaces differ only in
 //! *where the threads come from*, never in what they compute: batch ≡
-//! sequential ≡ service, bit-identical rational for rational on the exact
-//! paths.
+//! sequential ≡ service ≡ top-k, bit-identical rational for rational on
+//! the exact paths.
+//!
+//! There is **one structure-solve path**: [`solve_group`] solves one
+//! distinct structure for a list of plans, one per measure. A
+//! single-measure solve is a sweep over one plan — the same cache lookups,
+//! the same shared compile, the same sampling budget and the same counters.
 //!
 //! Nothing here owns a thread pool. [`parallel_map`] is the one scoped
 //! fan-out helper the one-shot surfaces use; the service brings its own
@@ -27,14 +34,9 @@ use shapdb_metrics::counters::{
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Bumps the process-wide per-measure request counter — the ops-style view
-/// of which attributions clients actually ask for. Every surface (planner
-/// solve, batch task, service request, measure sweep) funnels through here.
-pub(crate) fn record_measure_request(measure: Measure) {
-    record_measure_requests(measure, 1);
-}
-
-/// [`record_measure_request`], `n` at once (one batch = one atomic add).
+/// Bumps the process-wide per-measure request counter by `n` — the
+/// ops-style view of which attributions clients actually ask for. Every
+/// surface counts once per task per measure (one batch = one atomic add).
 pub(crate) fn record_measure_requests(measure: Measure, n: u64) {
     match measure {
         Measure::Shapley => MEASURE_SHAPLEY.add(n),
@@ -44,7 +46,7 @@ pub(crate) fn record_measure_requests(measure: Measure, n: u64) {
     };
 }
 
-/// Worker stack size: the DPLL compiler recurses per CNF variable.
+/// Worker stack size: the d-DNNF compiler recurses per CNF variable.
 pub(crate) const WORKER_STACK: usize = 64 * 1024 * 1024;
 
 /// Runs `f(0)..f(n-1)` across up to `threads` scoped workers (large
@@ -96,21 +98,12 @@ pub(crate) fn parallel_map<T: Send>(
 /// Stage 1 — canonicalize every lineage (the one minimize + factor pass
 /// per task; the fingerprint carries both by-products so nothing
 /// downstream repeats them). Embarrassingly parallel, so it fans out over
-/// the same scoped workers the solves use. With `dedup` off no
-/// fingerprints are computed: every task solves its own lineage directly.
-pub(crate) fn fingerprint_lineages(
-    threads: usize,
-    lineages: &[Dnf],
-    dedup: bool,
-) -> Vec<Option<Fingerprint>> {
-    if !dedup {
-        return vec![None; lineages.len()];
-    }
-    parallel_map(threads, lineages.len(), |i| Some(fingerprint(&lineages[i])))
+/// the same scoped workers the solves use.
+pub(crate) fn fingerprint_lineages(threads: usize, lineages: &[Dnf]) -> Vec<Fingerprint> {
+    parallel_map(threads, lineages.len(), |i| fingerprint(&lineages[i]))
 }
 
-/// Stage 2's output: tasks grouped by canonical structure. Tasks without a
-/// fingerprint (dedup off) are singleton groups.
+/// Stage 2's output: tasks grouped by canonical structure.
 pub(crate) struct Grouping {
     /// `group_of[i]` = the group task `i` belongs to.
     pub group_of: Vec<usize>,
@@ -129,28 +122,18 @@ impl Grouping {
 }
 
 /// Stage 2 — intern tasks by canonical fingerprint key.
-pub(crate) fn group_by_structure(fingerprints: &[Option<Fingerprint>]) -> Grouping {
+pub(crate) fn group_by_structure(fingerprints: &[Fingerprint]) -> Grouping {
     let mut group_of: Vec<usize> = Vec::with_capacity(fingerprints.len());
     let mut first_of_group: Vec<usize> = Vec::new();
     let mut members_of: Vec<Vec<usize>> = Vec::new();
     let mut seen: HashMap<&FingerprintKey, usize> = HashMap::new();
     for (i, fp) in fingerprints.iter().enumerate() {
-        let g = match fp {
-            Some(fp) => {
-                let next = first_of_group.len();
-                let g = *seen.entry(fp.key()).or_insert(next);
-                if g == next {
-                    first_of_group.push(i);
-                    members_of.push(Vec::new());
-                }
-                g
-            }
-            None => {
-                first_of_group.push(i);
-                members_of.push(Vec::new());
-                first_of_group.len() - 1
-            }
-        };
+        let next = first_of_group.len();
+        let g = *seen.entry(fp.key()).or_insert(next);
+        if g == next {
+            first_of_group.push(i);
+            members_of.push(Vec::new());
+        }
         group_of.push(g);
         members_of[g].push(i);
     }
@@ -161,20 +144,22 @@ pub(crate) fn group_by_structure(fingerprints: &[Option<Fingerprint>]) -> Groupi
     }
 }
 
-/// Stage 3 — plan each distinct structure once (cheap: the fingerprint
-/// already knows the factorization). `None` for groups without a
-/// fingerprint — those are planned inside [`Planner::solve_direct`].
+/// Stage 3 — plan each distinct structure once per measure (cheap: the
+/// fingerprint already knows the factorization), so route counters move
+/// once per (structure, measure). `plans[g][j]` is group `g`'s plan for
+/// `measures[j]`.
 pub(crate) fn plan_groups(
     planner: &Planner,
     grouping: &Grouping,
-    fingerprints: &[Option<Fingerprint>],
-    measure: Measure,
-) -> Vec<Option<Plan>> {
-    (0..grouping.distinct())
-        .map(|g| {
-            fingerprints[grouping.first_of_group[g]]
-                .as_ref()
-                .map(|fp| planner.plan_fp(fp, measure))
+    fingerprints: &[Fingerprint],
+    measures: &[Measure],
+) -> Vec<Vec<Plan>> {
+    grouping
+        .first_of_group
+        .iter()
+        .map(|&first| {
+            let fp = &fingerprints[first];
+            measures.iter().map(|&m| planner.plan_fp(fp, m)).collect()
         })
         .collect()
 }
@@ -196,33 +181,12 @@ impl SolveCounters {
         SolveCounters::default()
     }
 
-    /// Records one solve's cache outcome (and the engine run, when one
-    /// happened).
-    pub fn note(&self, outcome: CacheOutcome) {
-        match outcome {
-            CacheOutcome::Hit => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-            }
-            CacheOutcome::Miss => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.engine_runs.fetch_add(1, Ordering::Relaxed);
-            }
-            CacheOutcome::Bypass => {
-                self.bypasses.fetch_add(1, Ordering::Relaxed);
-                self.engine_runs.fetch_add(1, Ordering::Relaxed);
-            }
-            CacheOutcome::Disabled => {
-                self.engine_runs.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Records a whole multi-measure group solve over **one** structure:
-    /// per-measure cache outcomes count individually, but the engine run
-    /// counts **once** if any measure actually solved — the group shares a
+    /// Records one structure solve over one or more measures: per-measure
+    /// cache outcomes count individually, but the engine run counts
+    /// **once** if any measure actually solved — the measures share a
     /// single compiled/factorized structure, and `engine_runs` counts
     /// distinct structures solved, not evaluator passes over one.
-    pub fn note_group<I: IntoIterator<Item = CacheOutcome>>(&self, outcomes: I) {
+    pub fn note<I: IntoIterator<Item = CacheOutcome>>(&self, outcomes: I) {
         let mut ran = false;
         for outcome in outcomes {
             match outcome {
@@ -272,86 +236,26 @@ impl SolveCounters {
     }
 }
 
-/// Stage 4 — solve one distinct structure. Fingerprinted groups solve in
-/// canonical space (through the cache when attached), salted with the
-/// representative task's index and scaled to the group's total sampling
-/// budget; the result translates back through each member's fingerprint.
-/// Unfingerprinted groups (dedup off) solve their own lineage directly.
+/// Stage 4 — solve one distinct structure under `plans` (one per measure)
+/// in canonical space, through the cache when one is attached, salted with
+/// the representative task's index and scaled to the group's total
+/// sampling budget; records the outcomes in `counters`. Results come back
+/// in `plans` order and translate back through each member's fingerprint.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_group(
     planner: &Planner,
-    fp: Option<&Fingerprint>,
-    plan: Option<Plan>,
-    lineage: &Dnf,
+    fp: &Fingerprint,
+    plans: &[Plan],
     n_endo: usize,
     budget: &Budget,
     exact: &ExactConfig,
     salt: u64,
     group_size: usize,
-    measure: Measure,
-    counters: &SolveCounters,
-) -> Result<EngineResult, EngineError> {
-    match fp {
-        Some(fp) => {
-            let plan = plan.expect("fingerprinted groups are planned");
-            let (result, outcome) =
-                planner.solve_structure(fp, plan, n_endo, budget, exact, salt, group_size);
-            counters.note(outcome);
-            result
-        }
-        None => {
-            counters.note_uncached_run(planner);
-            planner.solve_direct(
-                &LineageTask::new(lineage, n_endo)
-                    .with_budget(*budget)
-                    .with_exact(*exact)
-                    .with_seed_salt(salt)
-                    .with_measure(measure),
-            )
-        }
-    }
-}
-
-/// Stage 4, multi-measure variant — solve one distinct structure for
-/// several measures, compiling (or reusing the fingerprint's factorization)
-/// at most once. Per-measure cache outcomes are recorded individually but
-/// the engine run counts once per structure actually solved (see
-/// [`SolveCounters::note_group`]). Results come back in `measures` order,
-/// in canonical space. Unfingerprinted groups (dedup off) solve their own
-/// lineage directly, once per measure.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_group_multi(
-    planner: &Planner,
-    fp: Option<&Fingerprint>,
-    lineage: &Dnf,
-    n_endo: usize,
-    budget: &Budget,
-    exact: &ExactConfig,
-    measures: &[Measure],
     counters: &SolveCounters,
 ) -> Vec<Result<EngineResult, EngineError>> {
-    for &m in measures {
-        record_measure_request(m);
-    }
-    match fp {
-        Some(fp) => {
-            let results = planner.solve_structure_multi(fp, n_endo, budget, exact, measures);
-            counters.note_group(results.iter().map(|(_, outcome)| *outcome));
-            results.into_iter().map(|(result, _)| result).collect()
-        }
-        None => measures
-            .iter()
-            .map(|&m| {
-                counters.note_uncached_run(planner);
-                planner.solve_direct(
-                    &LineageTask::new(lineage, n_endo)
-                        .with_budget(*budget)
-                        .with_exact(*exact)
-                        .with_measure(m),
-                )
-            })
-            .collect(),
-    }
+    let solved = planner.solve_structure(fp, plans, n_endo, budget, exact, salt, group_size);
+    counters.note(solved.iter().map(|(_, outcome)| *outcome));
+    solved.into_iter().map(|(result, _)| result).collect()
 }
 
 /// The single-task path — the same stages as a batch of one, minus the
@@ -369,26 +273,25 @@ pub(crate) fn solve_one(
     task: &LineageTask,
     counters: &SolveCounters,
 ) -> Result<EngineResult, EngineError> {
-    record_measure_request(task.measure);
-    if planner.cache().is_none() {
-        counters.note_uncached_run(planner);
-        return planner.solve_direct(task);
-    }
-    if planner.cfg.force.is_some_and(|k| !k.is_exact()) {
+    record_measure_requests(task.measure, 1);
+    if planner.cache().is_none() || planner.cfg.force.is_some_and(|k| !k.is_exact()) {
         counters.note_uncached_run(planner);
         return planner.solve_direct(task);
     }
     let fp = fingerprint(task.lineage);
     let plan = planner.plan_fp(&fp, task.measure);
-    let (result, outcome) = planner.solve_structure(
+    solve_group(
+        planner,
         &fp,
-        plan,
+        &[plan],
         task.n_endo,
         &task.budget,
         &task.exact,
         task.seed_salt,
         task.sample_scale,
-    );
-    counters.note(outcome);
-    result.map(|r| super::translate_result(r, &fp))
+        counters,
+    )
+    .pop()
+    .expect("one plan, one result")
+    .map(|r| super::translate_result(r, &fp))
 }

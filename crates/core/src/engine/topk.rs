@@ -276,7 +276,7 @@ impl TopKExecutor {
         exact: &ExactConfig,
     ) -> Result<TopKReport, EngineError> {
         let start = Instant::now();
-        let fps: Vec<Option<Fingerprint>> = fingerprints.into_iter().map(Some).collect();
+        let fps: Vec<Fingerprint> = fingerprints.into_iter().collect();
         let answers = fps.len();
         stages::record_measure_requests(Measure::Shapley, answers as u64);
         let grouping = stages::group_by_structure(&fps);
@@ -285,7 +285,7 @@ impl TopKExecutor {
         // Bound pass: one cheap bracket per distinct structure.
         let mut heap: BinaryHeap<Candidate> = BinaryHeap::with_capacity(distinct);
         for (group, &first) in grouping.first_of_group.iter().enumerate() {
-            let fp = fps[first].as_ref().expect("every answer is fingerprinted");
+            let fp = &fps[first];
             TOPK_BOUND_PASSES.incr();
             heap.push(Candidate {
                 ub: shapley_bounds(fp.key()).upper,
@@ -312,13 +312,21 @@ impl TopKExecutor {
                 }
                 break;
             }
-            let fp = fps[cand.first].as_ref().expect("fingerprinted");
+            let fp = &fps[cand.first];
             let plan = self.planner.plan_fp(fp, Measure::Shapley);
-            let (result, outcome) =
-                self.planner
-                    .solve_structure(fp, plan, n_endo, budget, exact, cand.first as u64, 1);
-            counters.note(outcome);
-            let result = result?;
+            let result = stages::solve_group(
+                &self.planner,
+                fp,
+                &[plan],
+                n_endo,
+                budget,
+                exact,
+                cand.first as u64,
+                1,
+                &counters,
+            )
+            .pop()
+            .expect("one plan, one result")?;
             let score =
                 match &result.values {
                     // Engine values are sorted by decreasing value: the first
@@ -360,10 +368,7 @@ impl TopKExecutor {
             .map(|(m, score, slot)| TopKItem {
                 index: m,
                 score,
-                result: translate_result(
-                    solved[slot].2.clone(),
-                    fps[m].as_ref().expect("fingerprinted"),
-                ),
+                result: translate_result(solved[slot].2.clone(), &fps[m]),
             })
             .collect();
 

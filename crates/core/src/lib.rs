@@ -28,7 +28,10 @@
 //! * [`engine`] — the unified engine layer: the [`ShapleyEngine`] trait all
 //!   six algorithms implement, the cost-based [`Planner`] (read-once
 //!   detection, hierarchical-query guarantee, KC admission budgets), and
-//!   the parallel, lineage-deduplicating [`BatchExecutor`].
+//!   the parallel, lineage-deduplicating [`BatchExecutor`]. Batch, top-k
+//!   and the resident service share one structure-solve path: each
+//!   distinct structure is solved once for a list of measures, and a
+//!   single-measure solve is a sweep over one.
 //!
 //! Values are exact [`Rational`](shapdb_num::Rational)s wherever the paper's
 //! algorithm is exact; baselines return `f64` like their originals.
@@ -52,10 +55,10 @@ mod weights;
 pub use aggregate::{count_shapley, sum_shapley, AggregateAttributions};
 pub use banzhaf::{banzhaf_all_facts, banzhaf_from_lineage, banzhaf_naive, critical_coalitions};
 pub use engine::{
-    shapley_bounds, BatchConfig, BatchExecutor, BatchItem, BatchReport, EngineError, EngineKind,
-    EngineResult, EngineValues, KcEngine, KernelShapEngine, LineageTask, MonteCarloEngine,
-    NaiveEngine, Plan, PlanReason, Planner, PlannerConfig, ProxyEngine, QueryClass, ReadOnceEngine,
-    ScoreBounds, ShapleyEngine, TopKExecutor, TopKItem, TopKReport,
+    shapley_bounds, BatchExecutor, BatchItem, BatchReport, EngineError, EngineKind, EngineResult,
+    EngineValues, KcEngine, KernelShapEngine, LineageTask, MonteCarloEngine, NaiveEngine, Plan,
+    PlanReason, Planner, PlannerConfig, ProxyEngine, QueryClass, ReadOnceEngine, ScoreBounds,
+    ShapleyEngine, TopKExecutor, TopKItem, TopKReport,
 };
 pub use exact::{power_index_all_facts, shapley_all_facts, shapley_single_fact, ExactConfig};
 pub use hybrid::{hybrid_shapley, hybrid_shapley_dnf, HybridConfig, HybridOutcome, HybridReport};

@@ -85,8 +85,8 @@ pub static CACHE_HITS: Counter = Counter::new("cache.hits");
 pub static CACHE_MISSES: Counter = Counter::new("cache.misses");
 /// Result-cache entries evicted to make room (LRU order).
 pub static CACHE_EVICTIONS: Counter = Counter::new("cache.evictions");
-/// Tasks that skipped the result cache entirely (inexact plan, dedup off,
-/// or caching disabled).
+/// Tasks that skipped the result cache entirely (inexact plan, a forced
+/// inexact engine, or caching disabled).
 pub static CACHE_BYPASSES: Counter = Counter::new("cache.bypasses");
 /// Absorption-minimization passes over DNF lineages
 /// (`shapdb_circuit::Dnf::minimize`).
@@ -394,8 +394,8 @@ pub struct CacheRunStats {
     pub hits: usize,
     /// Distinct structures looked up, not found, and solved.
     pub misses: usize,
-    /// Distinct structures (or tasks, with dedup off) that skipped the
-    /// cache: inexact plans, no fingerprint, or caching disabled.
+    /// Distinct structures (or single tasks under a forced inexact engine)
+    /// that skipped the cache: inexact plans, or caching disabled.
     pub bypasses: usize,
 }
 

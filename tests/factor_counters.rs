@@ -4,10 +4,15 @@
 //! (the fingerprint carries the canonical DNF and the tree; the planner and
 //! the engines consume those instead of re-deriving them).
 //!
+//! The same exact deltas pin the one structure-solve path: a one-measure
+//! `run_measures` sweep moves `measure.shapley` and `engine.solves` by
+//! exactly what the equivalent `run` moves them.
+//!
 //! This file holds a single `#[test]` on purpose: it asserts on the
-//! process-wide `circuit.minimize_passes` / `circuit.factor_passes`
-//! counters, and being the only test in its own integration binary makes
-//! the deltas exact (no concurrent test can touch the counters). The
+//! process-wide `circuit.minimize_passes` / `circuit.factor_passes` /
+//! `measure.shapley` / `engine.solves` counters, and being the only test in
+//! its own integration binary makes the deltas exact (no concurrent test
+//! can touch the counters). The
 //! deltas themselves are read through [`CounterSnapshot::delta_since`] —
 //! the scoped reader the service stats report uses — instead of raw
 //! before/after subtraction.
@@ -15,6 +20,7 @@
 use shapdb::circuit::{Dnf, VarId};
 use shapdb::core::engine::{BatchExecutor, Planner, PlannerConfig, ShapleyCache};
 use shapdb::core::exact::ExactConfig;
+use shapdb::core::Measure;
 use shapdb::kc::Budget;
 use shapdb::metrics::CounterSnapshot;
 use std::sync::Arc;
@@ -100,5 +106,44 @@ fn batch_path_minimizes_and_factors_once_per_task() {
     assert_eq!(
         pairs(0).iter().map(|(_, r)| r.clone()).collect::<Vec<_>>(),
         pairs(1).iter().map(|(_, r)| r.clone()).collect::<Vec<_>>(),
+    );
+
+    // A one-measure sweep is the same solve path as `run`: on fresh
+    // (uncached) executors it counts one Shapley request per task and one
+    // engine solve per distinct structure, exactly as `run` does. Naive
+    // enumeration is off so the majority takes the KC route.
+    let kc = PlannerConfig {
+        max_naive_vars: 0,
+        ..Default::default()
+    };
+    let counted = |sweep: bool| {
+        let executor = BatchExecutor::new(Planner::new(kc)).with_threads(1);
+        let before = CounterSnapshot::take();
+        if sweep {
+            let report = executor.run_measures(
+                &lineages,
+                24,
+                &Budget::unlimited(),
+                &ExactConfig::default(),
+                &[Measure::Shapley],
+            );
+            assert!(report.results.iter().flatten().all(|r| r.is_ok()));
+        } else {
+            let report = executor.run(&lineages, 24, &Budget::unlimited(), &ExactConfig::default());
+            assert!(report.items.iter().all(|i| i.result.is_ok()));
+        }
+        let after = CounterSnapshot::take();
+        (
+            after.delta_of(&before, "measure.shapley"),
+            after.delta_of(&before, "engine.solves"),
+        )
+    };
+    let (run_requests, run_solves) = counted(false);
+    assert_eq!(run_requests, 5, "one Shapley request per task");
+    assert_eq!(run_solves, 4, "one engine solve per distinct structure");
+    assert_eq!(
+        counted(true),
+        (run_requests, run_solves),
+        "a one-measure sweep counts exactly what `run` counts"
     );
 }
