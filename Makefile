@@ -1,6 +1,6 @@
 # Convenience targets mirroring .github/workflows/ci.yml for offline use.
 
-.PHONY: check fmt build test clippy doc quickstart bench-smoke bench-batch bench-cache bench-exact bench-alg1 bench-kc bench-serve bench-net bench-measures bench-rank bench
+.PHONY: check fmt build test clippy doc quickstart bench-smoke bench-batch bench-cache bench-exact bench-alg1 bench-kc bench-serve bench-net bench-measures bench-rank bench-harness bench
 
 check: fmt build test clippy doc quickstart
 
@@ -56,9 +56,10 @@ bench-kc:
 	cargo bench --bench kc_wide -p shapdb_bench
 
 # Resident service: the 521-lineage workload replayed through the
-# `serve --jsonl` protocol (cold + warm) vs the direct batch path; records
-# the warm-serve / warm-batch ratio in results/bench_serve.json (warns past
-# the 2x acceptance bar).
+# `serve --jsonl` protocol (cold, and the per-copy cost of 8 warm copies
+# in one session) vs the direct batch path; records the warm-serve /
+# warm-batch ratio in results/bench_serve.json (warns past the 2x
+# acceptance bar).
 bench-serve:
 	cargo bench --bench serve -p shapdb_bench
 
@@ -84,6 +85,11 @@ bench-measures:
 # warns below the 3x wall-clock bar. Writes results/bench_rank.json.
 bench-rank:
 	cargo bench --bench rank_topk -p shapdb_bench
+
+# The repo benchmark's own harness tests (perfbench/, built where the
+# benchmark builds it).
+bench-harness:
+	CARGO_TARGET_DIR=.bench_build cargo test --release --manifest-path perfbench/Cargo.toml
 
 bench:
 	cargo bench -p shapdb_bench

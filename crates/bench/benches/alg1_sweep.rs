@@ -21,13 +21,13 @@
 //! from 1024 up. Results land in `results/bench_alg1.json`
 //! (`make bench-alg1`); timings are recorded, not asserted.
 
+use shapdb_bench::report::{median_ns, write_results};
 use shapdb_circuit::Lit;
 use shapdb_core::exact::{shapley_all_facts, shapley_single_fact, ExactConfig};
 use shapdb_kc::ddnnf::{DdnnfBuilder, NodeIdx};
 use shapdb_kc::Ddnnf;
 use shapdb_metrics::counters::{CounterSnapshot, NumRunStats};
 use shapdb_num::Rational;
-use std::time::Instant;
 
 /// Balanced ∧-tree over `(xᵢ ∨ yᵢ)` decision gadgets: `2·pairs` variables,
 /// every Shapley value exactly `1/(2·pairs)`.
@@ -56,18 +56,6 @@ fn symmetric_tree(pairs: usize) -> Ddnnf {
             .collect();
     }
     b.finish(layer[0], 2 * pairs)
-}
-
-fn median_ns(n: usize, mut f: impl FnMut()) -> u128 {
-    let mut samples: Vec<u128> = (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 /// All-facts up to here; single-fact beyond (the all-facts solve is
@@ -156,10 +144,7 @@ fn main() {
         ALL_FACTS_MAX_VARS,
         rows.join(",\n"),
     );
-    let results_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    std::fs::create_dir_all(results_dir).expect("create results/");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/bench_alg1.json");
-    std::fs::write(path, &json).expect("write results/bench_alg1.json");
+    let path = write_results("bench_alg1.json", &json);
     println!("alg1_sweep summary -> {path}");
     print!("{json}");
 }

@@ -26,9 +26,9 @@
 //! warm pass is not at least 2x faster than the cold pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use shapdb_bench::report::{median_ns, write_results};
 use shapdb_circuit::{Circuit, Dnf, VarId};
 use shapdb_kc::{compile_circuit_topdown, Budget, ComponentCache, Ddnnf};
-use std::time::Instant;
 
 /// Samples per series in the JSON summary.
 const SAMPLES: usize = 5;
@@ -75,19 +75,6 @@ fn compile_wide(d: &Dnf, cache: Option<&ComponentCache>) -> Ddnnf {
     )
     .expect("suite structures compile")
     .ddnnf
-}
-
-/// Median of one measured closure over `n` samples, in nanoseconds.
-fn median_ns(n: usize, mut f: impl FnMut()) -> u128 {
-    let mut samples: Vec<u128> = (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 fn bench_kc_wide(c: &mut Criterion) {
@@ -197,10 +184,7 @@ fn bench_kc_wide(c: &mut Criterion) {
         all_warm_at_least_2x,
         entries.join(",\n"),
     );
-    let results_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    std::fs::create_dir_all(results_dir).expect("create results/");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/bench_kc.json");
-    std::fs::write(path, &json).expect("write results/bench_kc.json");
+    let path = write_results("bench_kc.json", &json);
     println!("kc_wide summary ({} sizes) -> {path}", suite.len());
     print!("{json}");
 }

@@ -31,6 +31,7 @@
 //! uploaded as a CI artifact).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use shapdb_bench::report::{median_ns, write_results};
 use shapdb_circuit::Dnf;
 use shapdb_core::engine::{
     BatchExecutor, EngineKind, Measure, Planner, PlannerConfig, ShapleyCache,
@@ -39,7 +40,7 @@ use shapdb_core::exact::ExactConfig;
 use shapdb_kc::Budget;
 use shapdb_metrics::counters::CIRCUIT_FACTOR_PASSES;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Every answer lineage of every workload query (capped per query) — the
 /// same corpus as the `batch` and `cache` benches.
@@ -58,19 +59,6 @@ fn planner_with(cache: Arc<ShapleyCache>) -> Planner {
         ..Default::default()
     })
     .with_cache(cache)
-}
-
-/// Median of one measured closure over `n` samples.
-fn median_ns(n: usize, mut f: impl FnMut()) -> u128 {
-    let mut samples: Vec<u128> = (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 fn bench_measures(c: &mut Criterion) {
@@ -198,13 +186,7 @@ fn bench_measures(c: &mut Criterion) {
         factor_passes,
         cold_engine_runs,
     );
-    let results_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    std::fs::create_dir_all(results_dir).expect("create results/");
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/bench_measures.json"
-    );
-    std::fs::write(path, &json).expect("write results/bench_measures.json");
+    let path = write_results("bench_measures.json", &json);
     println!(
         "measures summary ({} lineages x 4 measures; {} factor passes cold) -> {path}",
         lineages.len(),

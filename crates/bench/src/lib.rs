@@ -12,8 +12,11 @@
 //!   [`runner`] records into the paper's rows and series (Table 1, Table 2,
 //!   Figures 4–8) as plain-text tables;
 //! * [`corpus`] — the shared 521-lineage replay corpus every criterion
-//!   bench measures, built in exactly one place.
+//!   bench measures, built in exactly one place;
+//! * [`report`] — the sample median and the `results/` writer shared by
+//!   every bench that records a JSON summary.
 
 pub mod corpus;
 pub mod experiments;
+pub mod report;
 pub mod runner;

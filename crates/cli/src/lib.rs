@@ -675,9 +675,10 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             run_listen(&opts)?;
             return Ok(String::new());
         }
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        run_serve(stdin.lock(), stdout.lock(), &opts)?;
+        // `Stdout` (not its lock) because the session writer runs on its
+        // own thread; it is line-buffered, so each response still goes
+        // out as its own write.
+        run_serve(std::io::stdin().lock(), std::io::stdout(), &opts)?;
         return Ok(String::new());
     }
     let cfg = parse_args(args)?;

@@ -1,11 +1,17 @@
-//! `shapdb serve --jsonl` — the resident [`ShapleyService`] behind a
-//! scriptable stdin/stdout protocol.
+//! `shapdb serve` — the resident [`ShapleyService`] behind a scriptable
+//! JSON-lines protocol, and the one session loop every front-end runs.
 //!
 //! One JSON object per input line is one attribution request; one JSON
-//! object per output line is its response, **in request order**. No
-//! network dependency: any load driver that can write lines to a pipe can
-//! drive the resident process, which is exactly what `make bench-serve`
-//! does.
+//! object per output line is its response, **in request order**. A
+//! session is a reader (parse → validate → submit) and a writer (finish
+//! each ticket in order, write, flush) meeting at a bounded slot queue.
+//! `--jsonl` runs one session over stdin/stdout; `--listen`
+//! ([`crate::listen`]) runs one per accepted socket connection. Each
+//! response is written as soon as it and every earlier one complete, not
+//! at EOF, so an interactive or closed-loop client on a pipe gets its
+//! answers while its input is still open. No network dependency: any
+//! load generator that can write lines to a pipe can drive the resident
+//! process, which is exactly what `make bench-serve` does.
 //!
 //! Request:
 //!
@@ -48,9 +54,10 @@
 //! the server drains in-flight work and emits one final
 //! `{"stats":{...}}` line (queue totals, cache usage, wait times).
 //!
-//! Backpressure: submissions block the reading loop when the bounded
-//! queue (`--queue-capacity`) is full — the classic pipe discipline — so
-//! a flooding driver stalls instead of ballooning memory.
+//! Backpressure: submissions block the reader when the bounded service
+//! queue (`--queue-capacity`) is full, and the reader also stalls once
+//! the writer falls too far behind — the classic pipe discipline — so a
+//! flooding client stalls instead of ballooning memory.
 
 use crate::json::{escape, Json};
 use crate::{err, CliError, EngineChoice};
@@ -61,7 +68,7 @@ use shapdb_core::engine::{
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// `serve` options (see [`crate::USAGE`]).
@@ -124,40 +131,27 @@ pub struct ServeSummary {
     pub stats: ServiceStats,
 }
 
-/// One parsed request line.
-pub(crate) struct Request {
-    pub(crate) id: String,
-    pub(crate) lineage: Dnf,
-    pub(crate) n_endo: usize,
-    pub(crate) client: Option<u64>,
-    pub(crate) policy: Option<shapdb_core::engine::PlannerConfig>,
-    pub(crate) measure: Measure,
-}
-
-impl Request {
-    /// The owned service request this line stands for — shared by the
-    /// stdin and socket front-ends so the measure/policy threading cannot
-    /// drift between them.
-    pub(crate) fn into_lineage_request(self) -> (String, Option<u64>, LineageRequest) {
-        let mut r = LineageRequest::new(self.lineage, self.n_endo).with_measure(self.measure);
-        if let Some(policy) = self.policy {
-            r = r.with_policy(policy);
-        }
-        (self.id, self.client, r)
+/// Parses one request line into its echoed id, its optional `client`
+/// lane and the service request. Failures return `(echoed id, why)` —
+/// the id is recovered whenever the line was at least valid JSON, so
+/// error responses stay correlatable (`"null"` only when the JSON itself
+/// is broken).
+fn parse_request(
+    line: &str,
+    opts: &ServeOptions,
+) -> Result<(String, Option<u64>, LineageRequest), (String, String)> {
+    let v = Json::parse(line).map_err(|why| ("null".to_string(), why))?;
+    let id = v.get("id").map_or_else(|| "null".to_string(), Json::render);
+    match validate_request(&v, opts) {
+        Ok((client, request)) => Ok((id, client, request)),
+        Err(why) => Err((id, why)),
     }
 }
 
-/// Parses one request line. Failures return `(echoed id, why)` — the id
-/// is recovered whenever the line was at least valid JSON, so error
-/// responses stay correlatable (`"null"` only when the JSON itself is
-/// broken).
-pub(crate) fn parse_request(line: &str, opts: &ServeOptions) -> Result<Request, (String, String)> {
-    let v = Json::parse(line).map_err(|why| ("null".to_string(), why))?;
-    let id = v.get("id").map_or_else(|| "null".to_string(), Json::render);
-    validate_request(&v, opts, id.clone()).map_err(|why| (id, why))
-}
-
-fn validate_request(v: &Json, opts: &ServeOptions, id: String) -> Result<Request, String> {
+fn validate_request(
+    v: &Json,
+    opts: &ServeOptions,
+) -> Result<(Option<u64>, LineageRequest), String> {
     let lineage_json = v
         .get("lineage")
         .and_then(Json::as_arr)
@@ -211,25 +205,16 @@ fn validate_request(v: &Json, opts: &ServeOptions, id: String) -> Result<Request
         None => opts.measure,
     };
     let timeout_ms = v.get("timeout_ms").and_then(Json::as_u64);
+    let mut request = LineageRequest::new(lineage, n_endo).with_measure(measure);
     // A partial override inherits the *session's* settings for whatever it
     // leaves out — `{"engine":"exact"}` keeps the server's --timeout-ms,
     // `{"timeout_ms":50}` keeps the server's --engine.
-    let policy = match (engine, timeout_ms) {
-        (None, None) => None,
-        (engine, timeout_ms) => {
-            let choice = engine.unwrap_or(opts.engine);
-            let timeout = timeout_ms.map_or(opts.timeout, Duration::from_millis);
-            Some(choice.planner_config(timeout))
-        }
-    };
-    Ok(Request {
-        id,
-        lineage,
-        n_endo,
-        client,
-        policy,
-        measure,
-    })
+    if engine.is_some() || timeout_ms.is_some() {
+        let choice = engine.unwrap_or(opts.engine);
+        let timeout = timeout_ms.map_or(opts.timeout, Duration::from_millis);
+        request = request.with_policy(choice.planner_config(timeout));
+    }
+    Ok((client, request))
 }
 
 pub(crate) fn render_ok(id: &str, result: &shapdb_core::engine::EngineResult) -> String {
@@ -352,7 +337,7 @@ fn render_route_timings() -> String {
 }
 
 /// A response slot, kept in request order.
-pub(crate) enum Slot {
+enum Slot {
     /// Answered immediately (parse error).
     Ready(String),
     /// Waiting on the service.
@@ -360,14 +345,7 @@ pub(crate) enum Slot {
 }
 
 impl Slot {
-    pub(crate) fn is_done(&self) -> bool {
-        match self {
-            Slot::Ready(_) => true,
-            Slot::Waiting(_, sub) => sub.is_done(),
-        }
-    }
-
-    pub(crate) fn finish(self, errors: &mut u64) -> String {
+    fn finish(self, errors: &mut u64) -> String {
         match self {
             Slot::Ready(line) => {
                 *errors += 1;
@@ -382,6 +360,177 @@ impl Slot {
             },
         }
     }
+}
+
+/// A poisoned lock here means a peer thread panicked; the protected data
+/// (slot queues, connection tables) stays structurally valid, so recover
+/// the guard instead of cascading the panic through the whole server.
+pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Where the reader and writer of one session meet: response slots in
+/// request order, bounded so an unread backlog stalls the reader rather
+/// than growing without bound.
+struct SessionQueue {
+    state: Mutex<SessionState>,
+    /// Signaled when a slot is pushed (and when input ends).
+    added: Condvar,
+    /// Signaled when a slot is popped (blocked readers wait here).
+    taken: Condvar,
+}
+
+#[derive(Default)]
+struct SessionState {
+    slots: VecDeque<Slot>,
+    /// Reader hit EOF (or a read error): the writer drains and exits.
+    input_done: bool,
+    /// Writer hit a write error (client gone): the reader stops early.
+    dead: bool,
+}
+
+impl SessionQueue {
+    fn new() -> SessionQueue {
+        SessionQueue {
+            state: Mutex::new(SessionState::default()),
+            added: Condvar::new(),
+            taken: Condvar::new(),
+        }
+    }
+
+    /// Blocking bounded push; `false` once the writer declared the
+    /// session dead.
+    fn push(&self, slot: Slot, max_pending: usize) -> bool {
+        let mut st = lock_recover(&self.state);
+        while st.slots.len() >= max_pending && !st.dead {
+            st = self.taken.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        if st.dead {
+            return false;
+        }
+        st.slots.push_back(slot);
+        drop(st);
+        self.added.notify_one();
+        true
+    }
+
+    fn finish_input(&self) {
+        lock_recover(&self.state).input_done = true;
+        self.added.notify_one();
+    }
+
+    /// Blocking pop for the writer; `None` when input is done and every
+    /// slot has been taken.
+    fn pop(&self) -> Option<Slot> {
+        let mut st = lock_recover(&self.state);
+        loop {
+            if let Some(slot) = st.slots.pop_front() {
+                drop(st);
+                self.taken.notify_one();
+                return Some(slot);
+            }
+            if st.input_done {
+                return None;
+            }
+            st = self.added.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// The output is gone: drop any unwritten slots (their submissions
+    /// complete into the shared cache regardless) and release a reader
+    /// blocked on a full queue.
+    fn mark_dead(&self) {
+        let mut st = lock_recover(&self.state);
+        st.dead = true;
+        st.slots.clear();
+        drop(st);
+        self.taken.notify_all();
+    }
+}
+
+/// Runs one session to EOF against a shared service: the reader on the
+/// calling thread, the writer on a scoped thread. Returns the response
+/// and error-response counts once every response is written (the caller
+/// writes the stats line), or the first read or write failure.
+pub(crate) fn run_session<W: Write + Send>(
+    input: impl BufRead,
+    output: &mut W,
+    service: &ShapleyService,
+    opts: &ServeOptions,
+) -> Result<(u64, u64), CliError> {
+    let queue = &SessionQueue::new();
+    std::thread::scope(|scope| {
+        let writer = scope.spawn(move || session_writer(output, queue));
+        let read = session_reader(input, queue, service, opts);
+        read.and(writer.join().expect("session writer panicked"))
+    })
+}
+
+/// The reading half of a session: parse → validate → submit on the
+/// session's own fair-queue lane, pushing response slots to the writer.
+/// Blocking submits and the bounded slot queue stall the reader when the
+/// service or the output falls behind (pipe discipline).
+fn session_reader(
+    mut input: impl BufRead,
+    queue: &SessionQueue,
+    service: &ShapleyService,
+    opts: &ServeOptions,
+) -> Result<(), CliError> {
+    // The session's default lane: fair against other sessions. The
+    // optional per-request "client" field sub-divides further, namespaced
+    // to this session.
+    let lane = service.client();
+    let mut sublanes: HashMap<u64, ServiceClient> = HashMap::new();
+    let max_pending = opts.queue_capacity.saturating_mul(2).max(64);
+    let ended = loop {
+        let slot = match read_request_line(&mut input, opts.max_line_bytes) {
+            Err(e) => break Err(err(format!("read request: {e}"))),
+            Ok(ReadLine::Eof) => break Ok(()),
+            Ok(ReadLine::TooLong) => {
+                let msg = format!("request line exceeds {} bytes", opts.max_line_bytes);
+                Slot::Ready(render_err("null", &msg))
+            }
+            Ok(ReadLine::Line(line)) if line.trim().is_empty() => continue,
+            Ok(ReadLine::Line(line)) => match parse_request(&line, opts) {
+                Err((id, why)) => Slot::Ready(render_err(&id, &why)),
+                Ok((id, sublane, request)) => {
+                    let lane = match sublane {
+                        Some(sub) => sublanes.entry(sub).or_insert_with(|| service.client()),
+                        None => &lane,
+                    };
+                    match lane.submit_blocking(request) {
+                        Ok(sub) => Slot::Waiting(id, sub),
+                        Err(e) => Slot::Ready(render_err(&id, &e.to_string())),
+                    }
+                }
+            },
+        };
+        if !queue.push(slot, max_pending) {
+            break Ok(());
+        }
+    };
+    queue.finish_input();
+    ended
+}
+
+/// The writing half: finishes tickets in request order and writes and
+/// flushes one line per response as soon as it completes. A failed write
+/// means the output is gone: mark the session dead and stop.
+fn session_writer(output: &mut impl Write, queue: &SessionQueue) -> Result<(u64, u64), CliError> {
+    let (mut responses, mut errors) = (0, 0);
+    while let Some(slot) = queue.pop() {
+        let mut line = slot.finish(&mut errors);
+        responses += 1;
+        line.push('\n');
+        if let Err(e) = output
+            .write_all(line.as_bytes())
+            .and_then(|()| output.flush())
+        {
+            queue.mark_dead();
+            return Err(err(format!("write response: {e}")));
+        }
+    }
+    Ok((responses, errors))
 }
 
 /// Builds the resident service a serve session (stdin or socket) runs
@@ -471,94 +620,18 @@ pub(crate) fn read_request_line(
 }
 
 /// Runs a serve session over arbitrary reader/writer pairs (the binary
-/// passes stdin/stdout; tests and the bench pass buffers). Returns after
-/// EOF, once every response and the final stats line are written.
+/// passes stdin/stdout; tests and the bench pass buffers and pipes).
+/// Returns after EOF, once every response and the final stats line are
+/// written.
 pub fn run_serve(
-    mut input: impl BufRead,
-    mut output: impl Write,
+    input: impl BufRead,
+    mut output: impl Write + Send,
     opts: &ServeOptions,
 ) -> Result<ServeSummary, CliError> {
     let service = build_service(opts)?;
-    let mut clients: HashMap<u64, ServiceClient> = HashMap::new();
-    let mut pending: VecDeque<Slot> = VecDeque::new();
-    let mut responses = 0u64;
-    let mut errors = 0u64;
-    // Keep at most this many responses buffered: past it the reading loop
-    // waits for the oldest request — bounded memory end to end.
-    let max_pending = opts.queue_capacity.saturating_mul(2).max(64);
-
-    let flush_ready = |pending: &mut VecDeque<Slot>,
-                       output: &mut dyn Write,
-                       block_first: bool,
-                       responses: &mut u64,
-                       errors: &mut u64|
-     -> Result<(), CliError> {
-        let mut force = block_first;
-        while let Some(front) = pending.front() {
-            if !force && !front.is_done() {
-                break;
-            }
-            force = false;
-            let line = pending.pop_front().expect("front exists").finish(errors);
-            *responses += 1;
-            writeln!(output, "{line}").map_err(|e| err(format!("write response: {e}")))?;
-        }
-        Ok(())
-    };
-
-    loop {
-        let line = match read_request_line(&mut input, opts.max_line_bytes)
-            .map_err(|e| err(format!("read request: {e}")))?
-        {
-            ReadLine::Eof => break,
-            ReadLine::TooLong => {
-                pending.push_back(Slot::Ready(render_err(
-                    "null",
-                    &format!("request line exceeds {} bytes", opts.max_line_bytes),
-                )));
-                let over = pending.len() > max_pending;
-                flush_ready(&mut pending, &mut output, over, &mut responses, &mut errors)?;
-                continue;
-            }
-            ReadLine::Line(line) => line,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_request(&line, opts) {
-            Err((id, why)) => pending.push_back(Slot::Ready(render_err(&id, &why))),
-            Ok(req) => {
-                let (id, lane, request) = req.into_lineage_request();
-                // Blocking submit: queue saturation stalls the reader (pipe
-                // discipline) instead of dropping requests.
-                let submitted = match lane {
-                    Some(lane) => clients
-                        .entry(lane)
-                        .or_insert_with(|| service.client())
-                        .submit_blocking(request),
-                    None => service.submit_blocking(request),
-                };
-                match submitted {
-                    Ok(sub) => pending.push_back(Slot::Waiting(id, sub)),
-                    Err(e) => pending.push_back(Slot::Ready(render_err(&id, &e.to_string()))),
-                }
-            }
-        }
-        let over = pending.len() > max_pending;
-        flush_ready(&mut pending, &mut output, over, &mut responses, &mut errors)?;
-    }
-
-    // EOF: park once on the *newest* ticket — with the fair FIFO lanes,
-    // by the time it completes (almost) every earlier one has too, so the
-    // in-order drain below runs without a reader/worker wakeup ping-pong
-    // per response.
-    if let Some(Slot::Waiting(_, sub)) = pending.back() {
-        let _ = sub.wait();
-    }
-    while !pending.is_empty() {
-        flush_ready(&mut pending, &mut output, true, &mut responses, &mut errors)?;
-    }
+    let counts = run_session(input, &mut output, &service, opts);
     let stats = service.shutdown();
+    let (responses, errors) = counts?;
     let summary = ServeSummary {
         responses,
         errors,
@@ -841,6 +914,49 @@ mod tests {
             Some("montecarlo"),
             "session engine survives a timeout-only override"
         );
+    }
+
+    #[test]
+    fn pipe_session_answers_before_input_closes() {
+        // A closed-loop client on a pipe sends one request and waits for
+        // its answer with the input still open: the response must not
+        // wait for the next line or for EOF.
+        let (in_read, mut in_write) = std::io::pipe().unwrap();
+        let (out_read, out_write) = std::io::pipe().unwrap();
+        let server = std::thread::spawn(move || {
+            let opts = ServeOptions {
+                workers: 1,
+                ..Default::default()
+            };
+            run_serve(std::io::BufReader::new(in_read), out_write, &opts)
+        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for line in std::io::BufReader::new(out_read).lines() {
+                if tx.send(line.unwrap()).is_err() {
+                    break;
+                }
+            }
+        });
+        let wait = Duration::from_secs(10);
+        in_write
+            .write_all(
+                b"{\"id\": 1, \"lineage\": [[0],[1,3],[1,4],[2,3],[2,4],[5,6]], \"n_endo\": 8}\n",
+            )
+            .unwrap();
+        let first = rx.recv_timeout(wait).expect("no response while input open");
+        let v = Json::parse(&first).unwrap();
+        assert_eq!(v.get("id").and_then(Json::as_u64), Some(1));
+        let values = v.get("values").and_then(Json::as_arr).unwrap();
+        assert_eq!(values[0].as_arr().unwrap()[1].as_str(), Some("43/105"));
+
+        drop(in_write);
+        let stats = Json::parse(&rx.recv_timeout(wait).expect("no stats line at EOF")).unwrap();
+        let s = stats.get("stats").unwrap();
+        assert_eq!(s.get("responses").and_then(Json::as_u64), Some(1));
+        assert_eq!(s.get("errors").and_then(Json::as_u64), Some(0));
+        let summary = server.join().unwrap().unwrap();
+        assert_eq!(summary.stats.completed, 1);
     }
 
     #[test]
